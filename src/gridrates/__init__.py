@@ -54,19 +54,16 @@ from .robust import (
     mci_table,
     minimal_clusters_oracle,
     skc,
-    write_rate_table,
 )
 from .vulnerability import (
     DisguiseReport,
     SmoothnessReport,
     count_disguisers,
-    disguise_report,
     disguise_reports,
     disguised_profile,
     effort_matrix,
     measure_smoothness,
     min_switch_effort,
-    min_switch_effort_strict,
     smoothness_bound,
     switch_efforts,
     switch_margin,

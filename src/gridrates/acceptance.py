@@ -192,6 +192,19 @@ def check_gap_guarantee() -> CheckResult:
 # 5. switch effort vs dense grid
 # --------------------------------------------------------------------------
 
+def _first_feasible_on_grid(grid, d, c_own, c_target) -> float:
+    """grid[argmax(margin >= 0)], evaluated in chunks from mu=0 up to the first hit."""
+    for start in range(0, grid.size, 1000):
+        mu = grid[start:start + 1000]
+        blends = (1.0 - mu)[:, None] * d[None, :] + mu[:, None] * c_target[None, :]
+        lhs = np.abs(blends - c_own[None, :]).sum(axis=1)
+        rhs = (1.0 - mu) * np.abs(d - c_target).sum()
+        feasible = lhs - rhs >= 0.0
+        if feasible.any():
+            return float(mu[np.argmax(feasible)])
+    return float(grid[0])
+
+
 def check_switch_effort_oracle(n_triples: int = 1000) -> CheckResult:
     def run():
         rng = np.random.default_rng(505)
@@ -201,10 +214,7 @@ def check_switch_effort_oracle(n_triples: int = 1000) -> CheckResult:
             raw = rng.uniform(0.0, 1.0, size=(3, 24)) + 1e-9
             d, c_own, c_target = raw / raw.sum(axis=1, keepdims=True)
             exact = min_switch_effort(d, c_own, c_target)
-            blends = (1.0 - grid)[:, None] * d[None, :] + grid[:, None] * c_target[None, :]
-            lhs = np.abs(blends - c_own[None, :]).sum(axis=1)
-            rhs = (1.0 - grid) * np.abs(d - c_target).sum()
-            approx = float(grid[np.argmax(lhs - rhs >= 0.0)])
+            approx = _first_feasible_on_grid(grid, d, c_own, c_target)
             worst = max(worst, abs(exact - approx))
         # analytic case: a user on its own center needs exactly half
         raw = rng.uniform(0.0, 1.0, size=(2, 24)) + 1e-9

@@ -200,10 +200,12 @@ def cmd_cluster(args) -> int:
         clustering = gkc(mci_table(pop, prices), cfg.rho)
         meta["wall_time_s"] = time.perf_counter() - start
     elif args.method == "skc":
+        start = time.perf_counter()
         base = kmeans_profiles(
             pop, k=cfg.baseline_k(), prices=prices,
             seed=cfg.seed, metric=cfg.metric,
         )
+        meta["base_wall_time_s"] = time.perf_counter() - start
         start = time.perf_counter()  # refinement time only, base timed apart
         clustering = skc(pop, prices, cfg.rho, base)
         meta["wall_time_s"] = time.perf_counter() - start

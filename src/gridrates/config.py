@@ -58,7 +58,8 @@ class RunConfig:
 
     def theta_grid(self) -> np.ndarray:
         n_steps = int(round(self.theta_max / self.theta_step))
-        return np.round(np.arange(n_steps + 1) * self.theta_step, 12)
+        grid = np.round(np.arange(n_steps + 1) * self.theta_step, 12)
+        return grid[grid <= self.theta_max]
 
     def validate(self) -> "RunConfig":
         self.cost_model()

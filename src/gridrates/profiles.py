@@ -137,10 +137,10 @@ class IngestResult:
 def ingest_csv(path) -> IngestResult:
     """Read profiles from a CSV with header ``user_id,t0,...,t{T-1}``.
 
-    Rows with empty, non-numeric, or negative cells, and rows with zero
-    total consumption, are dropped and counted. A row whose field count
-    disagrees with the header raises InconsistentHorizon; a missing or
-    duplicate user id raises MalformedRow.
+    Rows with empty, non-numeric, infinite or negative cells, and rows
+    with zero total consumption, are dropped and counted. A row whose field
+    count disagrees with the header raises InconsistentHorizon; a missing
+    or duplicate user id raises MalformedRow.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -173,8 +173,9 @@ def ingest_csv(path) -> IngestResult:
             except ValueError:
                 excluded.append((row_number, "non-numeric or empty cell"))
                 continue
-            if np.any(np.isnan(values)):
-                excluded.append((row_number, "missing value"))
+            if not np.isfinite(values).all():
+                reason = "missing value" if np.isnan(values).any() else "infinite value"
+                excluded.append((row_number, reason))
                 continue
             if np.any(values < 0):
                 excluded.append((row_number, "negative consumption"))

@@ -299,14 +299,3 @@ def criterion_check(clustering: RateClustering, table: MciTable | None = None,
     worst = float(gaps.max())
     return bool(worst <= rho + atol), worst
 
-
-def write_rate_table(clustering: RateClustering, path, fmt: str = "%.9g") -> None:
-    """CSV tariff: one row per user with its cluster and published rate."""
-    order = np.argsort(clustering.user_ids, kind="stable")
-    user_prices = clustering.user_prices()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("user_id,cluster,rate\n")
-        for i in order:
-            fh.write(
-                f"{clustering.user_ids[i]},{int(clustering.labels[i])},{fmt % user_prices[i]}\n"
-            )

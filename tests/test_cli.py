@@ -61,6 +61,19 @@ def test_price_constant_corpus_gives_constant_price(tmp_path):
     assert len(prices) == 1
 
 
+def test_price_excludes_rows_with_infinite_cells(tmp_path):
+    corpus = tmp_path / "inf.csv"
+    rows = [f"u{i}," + ",".join(["1000"] * 24) for i in range(40)]
+    rows[3] = "u3," + ",".join(["1000"] * 23 + ["inf"])
+    corpus.write_text("user_id," + ",".join(f"t{t}" for t in range(24)) + "\n"
+                      + "\n".join(rows) + "\n")
+    assert _run("price", "--corpus", corpus, "--out", tmp_path) == 0
+    lines = (tmp_path / "price.csv").read_text().strip().splitlines()
+    assert all(np.isfinite(float(v)) for line in lines[2:] for v in line.split(","))
+    meta = json.loads((tmp_path / "meta_price.json").read_text())
+    assert meta["n_users"] == 39 and meta["n_excluded"] == 1
+
+
 def test_unknown_flag_is_validation_error(tmp_path):
     assert _run("datagen", "--bogus", 3, "--out", tmp_path) == 1
 
@@ -95,6 +108,7 @@ def test_cluster_methods_and_artifacts(tmp_path, small_config):
     skc_meta = json.loads((tmp_path / "meta_cluster_skc.json").read_text())
     assert skc_meta["criterion_ok"] is True
     assert skc_meta["n_clusters"] >= gkc_meta["n_clusters"]
+    assert skc_meta["base_wall_time_s"] > 0  # the base clustering, timed apart
 
 
 def test_vulnerability_sweep_monotone_columns(tmp_path, small_config):
@@ -128,6 +142,22 @@ def test_vulnerability_on_rate_clustering(tmp_path, small_config):
     smooth = json.loads((tmp_path / "smoothness.json").read_text())
     assert smooth["delta_observed"] <= smooth["band_bound"] + 1e-12
     assert smooth["n_violations"] == 0
+
+
+def test_theta_grid_never_passes_theta_max(tmp_path, small_config):
+    np.testing.assert_array_equal(RunConfig().theta_grid(),
+                                  np.round(np.arange(41) * 0.005, 12))
+    cfg = RunConfig(theta_max=0.99, theta_step=0.2)
+    np.testing.assert_array_equal(cfg.theta_grid(), [0.0, 0.2, 0.4, 0.6, 0.8])
+    assert _run("datagen", "--config", small_config, "--out", tmp_path) == 0
+    corpus = tmp_path / "corpus.csv"
+    assert _run("cluster", "--config", small_config, "--out", tmp_path,
+                "--corpus", corpus, "--method", "gkc") == 0
+    assert _run("vulnerability", "--config", small_config, "--out", tmp_path,
+                "--corpus", corpus, "--clustering", tmp_path / "clustering_gkc.json",
+                "--theta-max", 0.99, "--theta-step", 0.2) == 0
+    lines = (tmp_path / "vulnerability_sweep.csv").read_text().strip().splitlines()
+    assert [line.split(",")[0] for line in lines[2:]] == ["0", "0.2", "0.4", "0.6", "0.8"]
 
 
 def test_sensitivity_monotone_in_rho(tmp_path, small_config):

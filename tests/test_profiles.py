@@ -118,6 +118,16 @@ def test_ingest_drops_negative_and_zero_rows(tmp_path):
     assert result.n_excluded == 2
 
 
+def test_ingest_drops_rows_with_infinite_cells(tmp_path):
+    path = tmp_path / "pop.csv"
+    path.write_text("user_id,t0,t1\na,1,inf\nb,-inf,2\nc,1e400,1\nd,3,4\ne,nan,inf\n")
+    result = ingest_csv(path)
+    assert result.population.user_ids == ["d"]
+    assert result.n_excluded == 4
+    assert result.excluded_rows == [(2, "infinite value"), (3, "infinite value"),
+                                    (4, "infinite value"), (6, "missing value")]
+
+
 def test_ingest_mixed_horizons_rejected(tmp_path):
     path = tmp_path / "pop.csv"
     rows24 = ",".join(["1"] * 24)

@@ -18,7 +18,6 @@ from gridrates import (
     price_curve,
     residential_spec,
     skc,
-    write_rate_table,
 )
 from gridrates.model import mci_matrix
 from gridrates.profiles import Population
@@ -295,13 +294,3 @@ def test_rate_clustering_json_round_trip():
     ok, _ = criterion_check(back)
     assert ok
 
-
-def test_write_rate_table(tmp_path):
-    table = _table([1.0, 1.5, 2.1, 4.0])
-    out = gkc(table, rho=0.5)
-    path = tmp_path / "rates.csv"
-    write_rate_table(out, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "user_id,cluster,rate"
-    assert len(lines) == 5
-    assert lines[1].startswith("u0,0,1.25")
