@@ -13,6 +13,7 @@ from gridrates import (
     aggregate,
     count_disguisers,
     disguise_reports,
+    effort_matrix,
     generate_corpus,
     kmeans_profiles,
     measure_smoothness,
@@ -30,9 +31,12 @@ order = np.argsort(clustering.prices)
 print(f"profile-based tariff, k={clustering.k}")
 print(f"cluster rates: {clustering.prices[order[0]]:.2f} .. {clustering.prices[order[-1]]:.2f}")
 
+# every user's effort into every cluster, computed once for all the audits
+efforts = effort_matrix(clustering, pop)
+
 # survey every user's cheapest admissible switch
 theta = 0.05  # willing to alter 5% of the reported shape
-reports = disguise_reports(clustering, theta, pop=pop)
+reports = disguise_reports(efforts, theta)
 movable = [r for r in reports if r.cr <= theta]
 best = max(movable, key=lambda r: r.benefit)
 print(f"\nat effort threshold {theta:.0%}:")
@@ -40,19 +44,19 @@ print(f"  {len(movable)} of {pop.n_users} users can switch to a cheaper cluster"
 print(f"  largest per-unit saving: {best.benefit:.2f} "
       f"(user {best.user_id}, effort {best.cr:.3f})")
 
-counts, pct = count_disguisers(clustering, theta, pop=pop)
+counts, pct = count_disguisers(efforts, theta)
 print(f"  strategic users: {pct:.1f}% of the population")
 print(f"  per-cluster counts: {counts.tolist()}")
 
 # sweep the effort threshold: more tolerance, more strategic users
 print("\ntheta   strategic %")
 for theta in (0.01, 0.02, 0.05, 0.10, 0.20):
-    _, pct = count_disguisers(clustering, theta, pop=pop)
+    _, pct = count_disguisers(efforts, theta)
     print(f"{theta:5.2f}   {pct:6.2f}")
 
 # the gap a disguiser can reach vs what a rate-band scheme would certify
 rho = 0.5
-audit = measure_smoothness(clustering, theta=0.05, pop=pop)
+audit = measure_smoothness(efforts, theta=0.05)
 bound = smoothness_bound(rho, 0.05)
 print(f"\nworst reachable rate gap: {audit.delta_observed:.2f}")
 print(f"rate-band guarantee at rho={rho}: {bound:.2f}")

@@ -57,6 +57,7 @@ from .robust import (
 )
 from .vulnerability import (
     DisguiseReport,
+    Efforts,
     SmoothnessReport,
     count_disguisers,
     disguise_reports,

@@ -33,7 +33,9 @@ from .model import SystemLoad, price_curve
 from .profiles import Population, generate_corpus, ingest_csv, write_csv
 from .robust import RateClustering, criterion_check, gkc, mci_table, skc
 from .vulnerability import (
+    degenerate_targets,
     disguise_reports,
+    effort_matrix,
     measure_smoothness,
     reports_to_json,
     smoothness_bound,
@@ -130,7 +132,15 @@ def _prices_for(cfg: RunConfig, pop: Population):
 
 def _load_clustering(path, cfg: RunConfig, pop: Population):
     text = Path(path).read_text(encoding="utf-8")
-    kind = json.loads(text).get("kind")
+    doc = json.loads(text)
+    kind = doc.get("kind")
+    known = set(pop.user_ids)
+    missing = [uid for cluster in doc.get("clusters", ())
+               for uid in cluster["members"] if uid not in known]
+    if missing:
+        raise ConfigError(
+            f"{path}: {len(missing)} clustering user ids are not in the corpus "
+            f"(first: {missing[0]!r}); was it clustered from another corpus?")
     if kind == "profile":
         return Clustering.from_json(text)
     if kind == "rate":
@@ -181,6 +191,13 @@ def _write_user_rates(path, clustering, cfg_hash) -> None:
     _write_table(path, ["user_id", "cluster", "rate"], rows, cfg_hash)
 
 
+def _kmeans_facts(clustering) -> dict:
+    """Whether the tariff's k-means run converged, for the meta sidecar."""
+    return {"n_iter": clustering.n_iter,
+            "label_fixpoint": bool(clustering.label_fixpoint),
+            "inertia": clustering.inertia}
+
+
 def cmd_cluster(args) -> int:
     cfg = _config_from_args(args)
     out = _out_dir(args)
@@ -195,6 +212,7 @@ def cmd_cluster(args) -> int:
             seed=cfg.seed, metric=cfg.metric,
         )
         meta["wall_time_s"] = time.perf_counter() - start
+        meta.update(_kmeans_facts(clustering))
     elif args.method == "gkc":
         start = time.perf_counter()
         clustering = gkc(mci_table(pop, prices), cfg.rho)
@@ -206,6 +224,7 @@ def cmd_cluster(args) -> int:
             seed=cfg.seed, metric=cfg.metric,
         )
         meta["base_wall_time_s"] = time.perf_counter() - start
+        meta.update(_kmeans_facts(base))
         start = time.perf_counter()  # refinement time only, base timed apart
         clustering = skc(pop, prices, cfg.rho, base)
         meta["wall_time_s"] = time.perf_counter() - start
@@ -229,25 +248,27 @@ def cmd_vulnerability(args) -> int:
     out = _out_dir(args)
     pop, n_excluded = _load_population(args, cfg)
     clustering = _load_clustering(args.clustering, cfg, pop)
-
     thetas = cfg.theta_grid()
-    rows = theta_sweep(clustering, thetas, pop=pop, strict=args.strict)
-    k = clustering.k
-    header = ["theta", "pct_strategic"] + [f"n_{j}" for j in range(k)]
+    theta_ref = float(thetas[-1])
+    bound = smoothness_bound(cfg.rho, theta_ref)
+
+    # one effort matrix feeds every report; it is dropped before the
+    # reports are serialized, so it never sits beside their JSON
+    start = time.perf_counter()
+    efforts = effort_matrix(clustering, pop, strict=args.strict)
+    effort_s = time.perf_counter() - start
+    rows = theta_sweep(efforts, thetas)
+    reports = disguise_reports(efforts, theta_ref)
+    smooth = measure_smoothness(efforts, theta_ref, bound=bound)
+    n_pairs = efforts.efforts.size - len(efforts.user_ids)   # own column left out
+    n_unreachable = int(np.isinf(efforts.efforts).sum()) - len(efforts.user_ids)
+    del efforts
+
+    header = ["theta", "pct_strategic"] + [f"n_{j}" for j in range(clustering.k)]
     table_rows = [
         (theta, pct, *counts.tolist()) for theta, pct, counts in rows
     ]
     _write_table(out / "vulnerability_sweep.csv", header, table_rows, cfg.hash())
-
-    theta_ref = float(thetas[-1])
-    reports = disguise_reports(clustering, theta_ref, pop=pop, strict=args.strict)
-    write_reports_csv(reports, out / "disguise_reports.csv")
-    (out / "disguise_reports.json").write_text(
-        reports_to_json(reports) + "\n", encoding="utf-8")
-
-    bound = smoothness_bound(cfg.rho, theta_ref)
-    smooth = measure_smoothness(
-        clustering, theta_ref, pop=pop, bound=bound, strict=args.strict)
     _write_json(out / "smoothness.json", {
         "config_hash": cfg.hash(),
         "theta": smooth.theta,
@@ -257,8 +278,15 @@ def cmd_vulnerability(args) -> int:
         "n_violations": len(smooth.violations),
         "worst_pairs": sorted(smooth.pairs, key=lambda p: -p[2])[:20],
     })
+    write_reports_csv(reports, out / "disguise_reports.csv")
+    (out / "disguise_reports.json").write_text(
+        reports_to_json(reports) + "\n", encoding="utf-8")
     _write_meta(out, "vulnerability", cfg, n_users=pop.n_users,
-                n_excluded=n_excluded, theta_ref=theta_ref)
+                n_excluded=n_excluded, theta_ref=theta_ref, strict=args.strict,
+                effort_s=effort_s, n_effort_pairs=n_pairs,
+                n_unreachable_pairs=n_unreachable,
+                n_degenerate_targets=degenerate_targets(clustering),
+                n_reachable_pairs=len(smooth.pairs))
     return 0
 
 

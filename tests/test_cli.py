@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gridrates import cli
+from gridrates import cli, vulnerability
 from gridrates.config import RunConfig
 from gridrates.errors import ConfigError
 
@@ -109,6 +109,11 @@ def test_cluster_methods_and_artifacts(tmp_path, small_config):
     assert skc_meta["criterion_ok"] is True
     assert skc_meta["n_clusters"] >= gkc_meta["n_clusters"]
     assert skc_meta["base_wall_time_s"] > 0  # the base clustering, timed apart
+    for method in ("profile", "skc"):  # the tariff k-means run's convergence
+        meta = json.loads((tmp_path / f"meta_cluster_{method}.json").read_text())
+        assert 1 <= meta["n_iter"] <= 100
+        assert isinstance(meta["label_fixpoint"], bool)
+        assert meta["inertia"] > 0
 
 
 def test_vulnerability_sweep_monotone_columns(tmp_path, small_config):
@@ -142,6 +147,60 @@ def test_vulnerability_on_rate_clustering(tmp_path, small_config):
     smooth = json.loads((tmp_path / "smoothness.json").read_text())
     assert smooth["delta_observed"] <= smooth["band_bound"] + 1e-12
     assert smooth["n_violations"] == 0
+
+
+@pytest.mark.parametrize("method, flags", [
+    ("profile", ()), ("profile", ("--strict",)), ("gkc", ()),
+])
+def test_vulnerability_builds_efforts_once(tmp_path, small_config, monkeypatch,
+                                           method, flags):
+    assert _run("datagen", "--config", small_config, "--out", tmp_path) == 0
+    corpus = tmp_path / "corpus.csv"
+    assert _run("cluster", "--config", small_config, "--out", tmp_path,
+                "--corpus", corpus, "--method", method) == 0
+    builds = []
+    build = vulnerability.effort_matrix
+
+    def counted(*args, **kwargs):
+        builds.append(kwargs.get("strict"))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "effort_matrix", counted)
+    monkeypatch.setattr(vulnerability, "effort_matrix", counted)
+    assert _run("vulnerability", "--config", small_config, "--out", tmp_path,
+                "--corpus", corpus, "--clustering", tmp_path / f"clustering_{method}.json",
+                *flags) == 0
+    assert builds == [bool(flags)]
+
+    meta = json.loads((tmp_path / "meta_vulnerability.json").read_text())
+    smooth = json.loads((tmp_path / "smoothness.json").read_text())
+    k = json.loads((tmp_path / f"clustering_{method}.json").read_text())["k"]
+    assert meta["strict"] is bool(flags)
+    assert meta["effort_s"] > 0
+    assert meta["n_effort_pairs"] == 300 * (k - 1)
+    assert 0 <= meta["n_degenerate_targets"] <= meta["n_unreachable_pairs"]
+    assert meta["n_unreachable_pairs"] < meta["n_effort_pairs"]
+    assert meta["n_reachable_pairs"] == smooth["n_reachable_pairs"]
+
+
+@pytest.mark.parametrize("command", ["vulnerability", "diversity"])
+@pytest.mark.parametrize("method", ["profile", "gkc"])
+def test_clustering_from_another_corpus_is_validation_error(
+        tmp_path, small_config, capsys, command, method):
+    assert _run("datagen", "--config", small_config, "--out", tmp_path) == 0
+    assert _run("cluster", "--config", small_config, "--out", tmp_path,
+                "--corpus", tmp_path / "corpus.csv", "--method", method) == 0
+    other = tmp_path / "other"
+    assert _run("datagen", "--config", small_config, "--n", 10, "--out", other) == 0
+    capsys.readouterr()
+    code = _run(command, "--config", small_config, "--out", other,
+                "--corpus", other / "corpus.csv",
+                "--clustering", tmp_path / f"clustering_{method}.json")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert "290 clustering user ids are not in the corpus" in err
+    assert "(first: 'u" in err
 
 
 def test_theta_grid_never_passes_theta_max(tmp_path, small_config):
