@@ -59,8 +59,9 @@ print(f"  same guarantee ({ok_r}, worst {worst_r:.4f}) at "
 
 # first bands of the published tariff
 print("\nband  rate range          price  users")
+ranges = greedy.rate_ranges()
 for j in range(min(6, greedy.k)):
-    lo, hi = greedy.bounds[j]
+    lo, hi = ranges[j]
     size = len(greedy.member_ids(j))
     print(f"{j:4d}  [{lo:6.2f}, {hi:6.2f}]   {greedy.prices[j]:6.2f}  {size:5d}")
 

@@ -54,8 +54,7 @@ for j in sorted(show):
 # drill into the most diverse band: its shapes separate cleanly
 j = int(np.argmax(spread))
 member_ids = bands.member_ids(j)
-row_of = {uid: i for i, uid in enumerate(pop.user_ids)}
-sub = Population(member_ids, pop.consumption[[row_of[u] for u in member_ids]])
+sub = Population(member_ids, pop.consumption[pop.rows_of(member_ids)])
 inner = kmeans_profiles(sub, k=min(4, sub.n_users), prices=prices, seed=7)
 print(f"\nband {j} drill-down into {inner.k} shape groups:")
 for g in range(inner.k):

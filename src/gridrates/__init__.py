@@ -45,16 +45,16 @@ from .profiles import (
     residential_spec,
     write_csv,
 )
-from .kmeans import Clustering, kmeans_profiles, sigma
+from .kmeans import kmeans_profiles, sigma
 from .robust import (
     MciTable,
-    RateClustering,
     criterion_check,
     gkc,
     mci_table,
     minimal_clusters_oracle,
     skc,
 )
+from .tariff import Tariff
 from .vulnerability import (
     DisguiseReport,
     Efforts,

@@ -28,10 +28,11 @@ from .errors import (
     MalformedRow,
     ZeroProfile,
 )
-from .kmeans import Clustering, kmeans_profiles, sigma
-from .model import SystemLoad, price_curve
+from .kmeans import kmeans_profiles, sigma
+from .model import SystemLoad, mci_matrix, price_curve
 from .profiles import Population, generate_corpus, ingest_csv, write_csv
-from .robust import RateClustering, criterion_check, gkc, mci_table, skc
+from .robust import criterion_check, gkc, mci_table, skc
+from .tariff import Tariff
 from .vulnerability import (
     degenerate_targets,
     disguise_reports,
@@ -130,24 +131,16 @@ def _prices_for(cfg: RunConfig, pop: Population):
     return price_curve(cfg.cost_model(), SystemLoad(pop.consumption.sum(axis=0)))
 
 
-def _load_clustering(path, cfg: RunConfig, pop: Population):
-    text = Path(path).read_text(encoding="utf-8")
-    doc = json.loads(text)
-    kind = doc.get("kind")
-    known = set(pop.user_ids)
-    missing = [uid for cluster in doc.get("clusters", ())
-               for uid in cluster["members"] if uid not in known]
-    if missing:
-        raise ConfigError(
-            f"{path}: {len(missing)} clustering user ids are not in the corpus "
-            f"(first: {missing[0]!r}); was it clustered from another corpus?")
-    if kind == "profile":
-        return Clustering.from_json(text)
-    if kind == "rate":
-        table = mci_table(pop, _prices_for(cfg, pop))
-        by_user = dict(zip(table.user_ids.tolist(), table.mcis.tolist()))
-        return RateClustering.from_json(text, mcis_by_user=by_user)
-    raise ConfigError(f"{path}: unknown clustering kind {kind!r}")
+def _load_clustering(path, cfg: RunConfig, pop: Population) -> Tariff:
+    """A tariff JSON, checked against the corpus and config it is applied to."""
+    curve = _prices_for(cfg, pop)
+    rates = dict(zip(pop.user_ids, mci_matrix(curve, pop.consumption).tolist()))
+    try:
+        tariff = Tariff.from_json(Path(path).read_text(encoding="utf-8"), rates)
+        tariff.check_config(curve, cfg.rho)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return tariff
 
 
 # ---------------------------------------------------------------------------
@@ -175,27 +168,19 @@ def cmd_price(args) -> int:
     return 0
 
 
-def _write_user_rates(path, clustering, cfg_hash) -> None:
-    if isinstance(clustering, RateClustering):
-        order = np.argsort(clustering.user_ids, kind="stable")
-        rates = clustering.user_prices()
-        rows = [
-            (str(clustering.user_ids[i]), int(clustering.labels[i]), rates[i])
-            for i in order
-        ]
-    else:
-        rows = [
-            (uid, label, clustering.prices[label])
-            for uid, label in sorted(clustering.assignments.items())
-        ]
+def _write_user_rates(path, tariff: Tariff, cfg_hash) -> None:
+    rows = [
+        (uid, label, tariff.prices[label])
+        for uid, label in sorted(tariff.assignments.items())
+    ]
     _write_table(path, ["user_id", "cluster", "rate"], rows, cfg_hash)
 
 
-def _kmeans_facts(clustering) -> dict:
+def _kmeans_facts(tariff: Tariff) -> dict:
     """Whether the tariff's k-means run converged, for the meta sidecar."""
-    return {"n_iter": clustering.n_iter,
-            "label_fixpoint": bool(clustering.label_fixpoint),
-            "inertia": clustering.inertia}
+    return {"n_iter": tariff.n_iter,
+            "label_fixpoint": bool(tariff.label_fixpoint),
+            "inertia": tariff.inertia}
 
 
 def cmd_cluster(args) -> int:
@@ -207,15 +192,15 @@ def cmd_cluster(args) -> int:
 
     if args.method == "profile":
         start = time.perf_counter()
-        clustering = kmeans_profiles(
+        tariff = kmeans_profiles(
             pop, k=cfg.baseline_k(), prices=prices,
             seed=cfg.seed, metric=cfg.metric,
         )
         meta["wall_time_s"] = time.perf_counter() - start
-        meta.update(_kmeans_facts(clustering))
+        meta.update(_kmeans_facts(tariff))
     elif args.method == "gkc":
         start = time.perf_counter()
-        clustering = gkc(mci_table(pop, prices), cfg.rho)
+        tariff = gkc(mci_table(pop, prices), cfg.rho)
         meta["wall_time_s"] = time.perf_counter() - start
     elif args.method == "skc":
         start = time.perf_counter()
@@ -226,19 +211,19 @@ def cmd_cluster(args) -> int:
         meta["base_wall_time_s"] = time.perf_counter() - start
         meta.update(_kmeans_facts(base))
         start = time.perf_counter()  # refinement time only, base timed apart
-        clustering = skc(pop, prices, cfg.rho, base)
+        tariff = skc(pop, prices, cfg.rho, base)
         meta["wall_time_s"] = time.perf_counter() - start
     else:
         raise ConfigError(f"unknown method {args.method!r}")
 
-    meta["n_clusters"] = clustering.k
-    if isinstance(clustering, RateClustering):
-        ok, worst = criterion_check(clustering)
+    meta["n_clusters"] = tariff.k
+    if tariff.centers is None:
+        ok, worst = criterion_check(tariff)
         meta["criterion_ok"] = bool(ok)
         meta["criterion_worst_gap"] = worst
     (out / f"clustering_{args.method}.json").write_text(
-        clustering.to_json() + "\n", encoding="utf-8")
-    _write_user_rates(out / f"rates_{args.method}.csv", clustering, cfg.hash())
+        tariff.to_json() + "\n", encoding="utf-8")
+    _write_user_rates(out / f"rates_{args.method}.csv", tariff, cfg.hash())
     _write_meta(out, f"cluster_{args.method}", cfg, **meta)
     return 0
 
@@ -247,7 +232,7 @@ def cmd_vulnerability(args) -> int:
     cfg = _config_from_args(args)
     out = _out_dir(args)
     pop, n_excluded = _load_population(args, cfg)
-    clustering = _load_clustering(args.clustering, cfg, pop)
+    tariff = _load_clustering(args.clustering, cfg, pop)
     thetas = cfg.theta_grid()
     theta_ref = float(thetas[-1])
     bound = smoothness_bound(cfg.rho, theta_ref)
@@ -255,7 +240,7 @@ def cmd_vulnerability(args) -> int:
     # one effort matrix feeds every report; it is dropped before the
     # reports are serialized, so it never sits beside their JSON
     start = time.perf_counter()
-    efforts = effort_matrix(clustering, pop, strict=args.strict)
+    efforts = effort_matrix(tariff, pop, strict=args.strict)
     effort_s = time.perf_counter() - start
     rows = theta_sweep(efforts, thetas)
     reports = disguise_reports(efforts, theta_ref)
@@ -264,7 +249,7 @@ def cmd_vulnerability(args) -> int:
     n_unreachable = int(np.isinf(efforts.efforts).sum()) - len(efforts.user_ids)
     del efforts
 
-    header = ["theta", "pct_strategic"] + [f"n_{j}" for j in range(clustering.k)]
+    header = ["theta", "pct_strategic"] + [f"n_{j}" for j in range(tariff.k)]
     table_rows = [
         (theta, pct, *counts.tolist()) for theta, pct, counts in rows
     ]
@@ -285,7 +270,7 @@ def cmd_vulnerability(args) -> int:
                 n_excluded=n_excluded, theta_ref=theta_ref, strict=args.strict,
                 effort_s=effort_s, n_effort_pairs=n_pairs,
                 n_unreachable_pairs=n_unreachable,
-                n_degenerate_targets=degenerate_targets(clustering),
+                n_degenerate_targets=degenerate_targets(tariff),
                 n_reachable_pairs=len(smooth.pairs))
     return 0
 
@@ -322,27 +307,25 @@ def cmd_diversity(args) -> int:
     cfg = _config_from_args(args)
     out = _out_dir(args)
     pop, n_excluded = _load_population(args, cfg)
-    clustering = _load_clustering(args.clustering, cfg, pop)
+    tariff = _load_clustering(args.clustering, cfg, pop)
     prices = _prices_for(cfg, pop)
 
-    sig = sigma(clustering, pop)
-    sizes = [len(clustering.member_ids(j)) for j in range(clustering.k)]
+    sig = sigma(tariff, pop)
+    sizes = [len(tariff.member_ids(j)) for j in range(tariff.k)]
     cluster_prices = (
-        clustering.prices if clustering.prices is not None else [float("nan")] * clustering.k
+        tariff.prices if tariff.prices is not None else [float("nan")] * tariff.k
     )
     rows = [
-        (j, sizes[j], cluster_prices[j], sig[j]) for j in range(clustering.k)
+        (j, sizes[j], cluster_prices[j], sig[j]) for j in range(tariff.k)
     ]
     _write_table(out / "sigma.csv", ["cluster", "size", "price", "sigma"], rows, cfg.hash())
 
     drill = [int(v) for v in args.drill.split(",")] if args.drill else []
-    row_of = {uid: i for i, uid in enumerate(pop.user_ids)}
     for j in drill:
-        if not 0 <= j < clustering.k:
-            raise ConfigError(f"--drill index {j} out of range (k={clustering.k})")
-        member_ids = clustering.member_ids(j)
-        rows_idx = [row_of[uid] for uid in member_ids]
-        sub = Population(member_ids, pop.consumption[rows_idx])
+        if not 0 <= j < tariff.k:
+            raise ConfigError(f"--drill index {j} out of range (k={tariff.k})")
+        member_ids = tariff.member_ids(j)
+        sub = Population(member_ids, pop.consumption[pop.rows_of(member_ids)])
         k_sub = min(args.drill_k, sub.n_users)
         inner = kmeans_profiles(sub, k=k_sub, prices=prices, seed=cfg.seed)
         (out / f"subclusters_{j}.json").write_text(

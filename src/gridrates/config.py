@@ -14,13 +14,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import CostModel
+from .profiles import CSV_FLOAT_FMT  # noqa: F401  (re-exported for result tables)
 from .profiles import CorpusSpec, commercial_spec, residential_spec
 
 DEFAULT_A = 0.00012
 DEFAULT_B = -37.38
 DEFAULT_RHO = 0.5
 DEFAULT_K = {"residential": 30, "commercial": 24}
-CSV_FLOAT_FMT = "%.9g"
 
 
 @dataclass(frozen=True)

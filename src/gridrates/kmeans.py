@@ -9,82 +9,20 @@ available as an option.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EmptyClusterRepairFailed, KTooLarge
-from .model import PriceCurve, mci
+from .model import PriceCurve
 from .profiles import Population
+from .tariff import Tariff, center_prices
 
 ASSIGNMENT_METRICS = ("sqeuclidean", "l1")
 
 
-@dataclass
-class Clustering:
-    """A partition of users with center profiles and optional cluster rates."""
-
-    user_ids: list
-    labels: np.ndarray          # (N,) cluster index per user
-    centers: np.ndarray         # (k, T) simplex points
-    k: int
-    prices: np.ndarray | None = None   # (k,) rate per cluster
-    n_iter: int = 0
-    inertia: float = 0.0
-    metric: str = "sqeuclidean"
-    objective_trace: list | None = None  # objective after each assignment step
-    label_fixpoint: bool = False         # terminated with labels == argmin(centers)
-
-    @property
-    def assignments(self) -> dict:
-        return dict(zip(self.user_ids, (int(j) for j in self.labels)))
-
-    def members(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == j)
-
-    def member_ids(self, j: int) -> list:
-        return [self.user_ids[i] for i in self.members(j)]
-
-    def to_json(self) -> str:
-        clusters = []
-        for j in range(self.k):
-            idx = self.members(j)
-            clusters.append({
-                "center": [float(v) for v in self.centers[j]],
-                "price": None if self.prices is None else float(self.prices[j]),
-                "members": [self.user_ids[i] for i in idx],
-            })
-        return json.dumps(
-            {"kind": "profile", "k": self.k, "metric": self.metric, "clusters": clusters},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Clustering":
-        doc = json.loads(text)
-        if doc.get("kind") != "profile":
-            raise ValueError(f"not a profile clustering: kind={doc.get('kind')!r}")
-        user_ids, labels = [], []
-        centers, prices = [], []
-        have_prices = True
-        for j, cluster in enumerate(doc["clusters"]):
-            centers.append(cluster["center"])
-            if cluster["price"] is None:
-                have_prices = False
-            else:
-                prices.append(cluster["price"])
-            for uid in cluster["members"]:
-                user_ids.append(uid)
-                labels.append(j)
-        return cls(
-            user_ids=user_ids,
-            labels=np.array(labels, dtype=int),
-            centers=np.array(centers, dtype=float),
-            k=doc["k"],
-            prices=np.array(prices) if have_prices else None,
-            metric=doc.get("metric", "sqeuclidean"),
-        )
+# `Clustering` is the old name of `Tariff`, kept while bench/ still imports it
+Clustering = Tariff
+# centers that move less than this (max abs coordinate) count as converged
+CENTER_TOL = 1e-9
 
 
 def _distances(points: np.ndarray, centers: np.ndarray, metric: str) -> np.ndarray:
@@ -140,9 +78,8 @@ def kmeans_profiles(
     prices: PriceCurve | None = None,
     seed: int = 0,
     max_iters: int = 100,
-    tol: float = 1e-9,
     metric: str = "sqeuclidean",
-) -> Clustering:
+) -> Tariff:
     """Cluster normalized profiles; optionally rate each cluster center.
 
     Deterministic for a fixed seed, and invariant to input row order: users
@@ -182,45 +119,36 @@ def kmeans_profiles(
             fixpoint = stable
             break
         new_centers = np.vstack([points[labels == j].mean(axis=0) for j in range(k)])
-        converged = np.abs(new_centers - centers).max() < tol
+        converged = np.abs(new_centers - centers).max() < CENTER_TOL
         centers = new_centers
     else:
         centers = np.vstack([points[labels == j].mean(axis=0) for j in range(k)])
     inertia = float(((points - centers[labels]) ** 2).sum())
 
-    cluster_prices = None
-    if prices is not None:
-        cluster_prices = np.array([mci(prices, c) for c in centers])
-
-    return Clustering(
+    return Tariff(
         user_ids=ids,
         labels=labels,
+        prices=None if prices is None else center_prices(prices, centers),
+        method="profile",
         centers=centers,
-        k=k,
-        prices=cluster_prices,
+        metric=metric,
         n_iter=n_iter,
         inertia=inertia,
-        metric=metric,
-        objective_trace=trace,
         label_fixpoint=fixpoint,
+        objective_trace=trace,
     )
 
 
-def sigma(clustering, pop: Population) -> np.ndarray:
+def sigma(tariff: Tariff, pop: Population) -> np.ndarray:
     """Per-cluster mean l1 distance of member profiles to the cluster center.
 
-    Works for any clustering that can name its members; clusterings without
-    stored center profiles get the member mean as center. Values lie in
-    [0, 2], the l1 diameter of the simplex.
+    Rate-band tariffs, which store no center profiles, get the member mean
+    as center. Values lie in [0, 2], the l1 diameter of the simplex.
     """
-    weights = pop.normalized()
-    row_of = {uid: i for i, uid in enumerate(pop.user_ids)}
-    k = clustering.k
-    out = np.zeros(k)
-    centers = getattr(clustering, "centers", None)
-    for j in range(k):
-        rows = np.array([row_of[uid] for uid in clustering.member_ids(j)])
-        pts = weights[rows]
-        center = pts.mean(axis=0) if centers is None else centers[j]
+    weights = pop.normalized()[pop.rows_of(tariff.user_ids)]
+    out = np.zeros(tariff.k)
+    for j in range(tariff.k):
+        pts = weights[tariff.members(j)]
+        center = pts.mean(axis=0) if tariff.centers is None else tariff.centers[j]
         out[j] = float(np.abs(pts - center).sum(axis=1).mean())
     return out

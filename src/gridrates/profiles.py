@@ -22,6 +22,8 @@ from .errors import (
 from .model import SystemLoad
 
 DEFAULT_HORIZON = 24
+# every float cell of every CSV the package writes
+CSV_FLOAT_FMT = "%.9g"
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,11 @@ class Population:
     def profiles(self):
         for uid, row in zip(self.user_ids, self.consumption):
             yield LoadProfile(uid, row)
+
+    def rows_of(self, user_ids) -> np.ndarray:
+        """Row index of each of the given user ids, in their order."""
+        row_of = {uid: i for i, uid in enumerate(self.user_ids)}
+        return np.array([row_of[uid] for uid in user_ids], dtype=int)
 
     def normalized(self) -> np.ndarray:
         """(N, T) matrix of simplex weights."""
@@ -193,14 +200,14 @@ def ingest_csv(path) -> IngestResult:
     return IngestResult(pop, len(excluded), excluded)
 
 
-def write_csv(pop: Population, path, fmt: str = "%.9g") -> None:
+def write_csv(pop: Population, path) -> None:
     """Write a population in the same CSV layout `ingest_csv` reads."""
     horizon = pop.horizon
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user_id"] + [f"t{t}" for t in range(horizon)])
         for uid, row in zip(pop.user_ids, pop.consumption):
-            writer.writerow([uid] + [fmt % v for v in row])
+            writer.writerow([uid] + [CSV_FLOAT_FMT % v for v in row])
 
 
 # ---------------------------------------------------------------------------

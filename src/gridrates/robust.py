@@ -13,7 +13,6 @@ independent optimality oracle for desk-scale instances.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ import numpy as np
 from .errors import EmptyPopulation, InstanceTooLarge, RecursionDepthExceeded
 from .model import PriceCurve, mci_matrix
 from .profiles import Population
+from .tariff import Tariff
 
 SKC_MAX_DEPTH = 64
 
@@ -56,109 +56,11 @@ def mci_table(pop: Population, prices: PriceCurve) -> MciTable:
     return MciTable(user_ids=ids[order], mcis=mcis[order])
 
 
-@dataclass
-class RateClustering:
-    """A partition of users into rate bands with a price per band.
-
-    `contiguous` is true when the bands are disjoint intervals over the
-    sorted rate axis (greedy covering output); the bisecting refinement can
-    produce bands that overlap on the rate axis across different source
-    clusters.
-    """
-
-    user_ids: np.ndarray    # (N,)
-    mcis: np.ndarray        # (N,) rate per user, aligned with user_ids
-    labels: np.ndarray      # (N,) cluster index per user
-    bounds: np.ndarray      # (k, 2) [min rate, max rate] per cluster
-    prices: np.ndarray      # (k,)
-    rho: float
-    contiguous: bool
-    method: str = "gkc"
-
-    def __post_init__(self):
-        if np.any(self.labels < 0) or np.any(self.labels >= self.k):
-            raise ValueError("labels out of range")
-        counts = np.bincount(self.labels, minlength=self.k)
-        if np.any(counts == 0):
-            raise ValueError("every cluster must be nonempty")
-
-    @property
-    def k(self) -> int:
-        return self.prices.size
-
-    @property
-    def n_users(self) -> int:
-        return self.user_ids.size
-
-    @property
-    def assignments(self) -> dict:
-        return dict(zip(self.user_ids.tolist(), (int(j) for j in self.labels)))
-
-    def members(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == j)
-
-    def member_ids(self, j: int) -> list:
-        return [str(self.user_ids[i]) for i in self.members(j)]
-
-    def user_prices(self) -> np.ndarray:
-        return self.prices[self.labels]
-
-    def to_json(self) -> str:
-        clusters = []
-        for j in range(self.k):
-            clusters.append({
-                "rate_range": [float(self.bounds[j, 0]), float(self.bounds[j, 1])],
-                "price": float(self.prices[j]),
-                "members": self.member_ids(j),
-            })
-        return json.dumps(
-            {
-                "kind": "rate",
-                "method": self.method,
-                "rho": self.rho,
-                "k": self.k,
-                "clusters": clusters,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str, mcis_by_user: dict | None = None) -> "RateClustering":
-        """Rebuild from JSON; per-user rates are re-supplied or interpolated.
-
-        Serialized clusters carry member ids, ranges, and prices. When the
-        caller has the rate table, pass `mcis_by_user` to restore exact
-        per-user rates; otherwise users get their cluster price as rate
-        (enough for pricing, not for re-running the band criterion).
-        """
-        doc = json.loads(text)
-        if doc.get("kind") != "rate":
-            raise ValueError(f"not a rate clustering: kind={doc.get('kind')!r}")
-        ids, labels, mcis = [], [], []
-        bounds, prices = [], []
-        for j, cluster in enumerate(doc["clusters"]):
-            bounds.append(cluster["rate_range"])
-            prices.append(cluster["price"])
-            for uid in cluster["members"]:
-                ids.append(uid)
-                labels.append(j)
-                if mcis_by_user is not None:
-                    mcis.append(mcis_by_user[uid])
-                else:
-                    mcis.append(cluster["price"])
-        return cls(
-            user_ids=np.asarray(ids, dtype=str),
-            mcis=np.asarray(mcis, dtype=float),
-            labels=np.asarray(labels, dtype=int),
-            bounds=np.asarray(bounds, dtype=float),
-            prices=np.asarray(prices, dtype=float),
-            rho=float(doc["rho"]),
-            contiguous=bool(doc["method"] == "gkc"),
-            method=doc["method"],
-        )
+# `RateClustering` is the old name of `Tariff`, kept while bench/ still imports it
+RateClustering = Tariff
 
 
-def gkc(table: MciTable, rho: float) -> RateClustering:
+def gkc(table: MciTable, rho: float) -> Tariff:
     """Greedy covering of the sorted rate axis by width-2*rho bands.
 
     Starting at the lowest unclustered rate r, the next cluster takes every
@@ -171,26 +73,22 @@ def gkc(table: MciTable, rho: float) -> RateClustering:
     mcis = table.mcis
     n = mcis.size
     labels = np.empty(n, dtype=int)
-    bounds, prices = [], []
+    prices = []
     i = 0
     j = 0
     while i < n:
         hi = np.searchsorted(mcis, mcis[i] + 2.0 * rho, side="right")
         labels[i:hi] = j
-        lo_val, hi_val = mcis[i], mcis[hi - 1]
-        bounds.append((lo_val, hi_val))
-        prices.append((lo_val + hi_val) / 2.0)
+        prices.append((mcis[i] + mcis[hi - 1]) / 2.0)
         i = int(hi)
         j += 1
-    return RateClustering(
+    return Tariff(
         user_ids=table.user_ids.copy(),
-        mcis=mcis.copy(),
         labels=labels,
-        bounds=np.asarray(bounds, dtype=float),
         prices=np.asarray(prices, dtype=float),
-        rho=float(rho),
-        contiguous=True,
         method="gkc",
+        rates=mcis.copy(),
+        rho=float(rho),
     )
 
 
@@ -219,8 +117,8 @@ def skc(
     pop: Population,
     prices: PriceCurve,
     rho: float,
-    base_clustering,
-) -> RateClustering:
+    base_clustering: Tariff,
+) -> Tariff:
     """Bisecting refinement of a profile clustering to meet the band criterion.
 
     Each profile-based cluster is split on the rate axis (nearer of the
@@ -230,31 +128,25 @@ def skc(
     if rho <= 0:
         raise ValueError(f"rho must be > 0, got {rho}")
     mcis_all = mci_matrix(prices, pop.consumption)
-    row_of = {uid: i for i, uid in enumerate(pop.user_ids)}
+    base_rows = pop.rows_of(base_clustering.user_ids)
 
     pieces = []
     for j in range(base_clustering.k):
-        rows = np.array([row_of[uid] for uid in base_clustering.member_ids(j)])
-        pieces.extend(_bisect_ranges(mcis_all, rows, rho))
+        pieces.extend(_bisect_ranges(mcis_all, base_rows[base_clustering.members(j)], rho))
 
-    n = pop.n_users
-    labels = np.empty(n, dtype=int)
-    bounds = np.empty((len(pieces), 2))
+    labels = np.empty(pop.n_users, dtype=int)
     out_prices = np.empty(len(pieces))
     for j, rows in enumerate(pieces):
         labels[rows] = j
         vals = mcis_all[rows]
-        bounds[j] = (vals.min(), vals.max())
-        out_prices[j] = (bounds[j, 0] + bounds[j, 1]) / 2.0
-    return RateClustering(
-        user_ids=np.asarray(pop.user_ids, dtype=str),
-        mcis=mcis_all,
+        out_prices[j] = (vals.min() + vals.max()) / 2.0
+    return Tariff(
+        user_ids=pop.user_ids,
         labels=labels,
-        bounds=bounds,
         prices=out_prices,
-        rho=float(rho),
-        contiguous=False,
         method="skc",
+        rates=mcis_all,
+        rho=float(rho),
     )
 
 
@@ -282,19 +174,19 @@ def minimal_clusters_oracle(table: MciTable, rho: float, cap: int = 2000) -> int
     return int(f[n])
 
 
-def criterion_check(clustering: RateClustering, table: MciTable | None = None,
+def criterion_check(tariff: Tariff, table: MciTable | None = None,
                     rho: float | None = None, atol: float = 1e-12):
     """Verify |rate_i - price of i's cluster| <= rho for every user.
 
-    Returns (ok, worst_gap). Uses the clustering's own rates and rho unless
+    Returns (ok, worst_gap). Uses the tariff's own rates and rho unless
     overridden. `atol` absorbs the half-ulp rounding of midpoint prices.
     """
-    rho = clustering.rho if rho is None else rho
+    rho = tariff.rho if rho is None else rho
+    user_prices = tariff.prices[tariff.labels]
     if table is None:
-        mcis = clustering.mcis
-        gaps = np.abs(mcis - clustering.user_prices())
+        gaps = np.abs(tariff.rates - user_prices)
     else:
-        price_of = dict(zip(clustering.user_ids.tolist(), clustering.user_prices()))
+        price_of = dict(zip(tariff.user_ids.tolist(), user_prices))
         gaps = np.abs(table.mcis - np.array([price_of[u] for u in table.user_ids.tolist()]))
     worst = float(gaps.max())
     return bool(worst <= rho + atol), worst

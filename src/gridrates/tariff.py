@@ -1,0 +1,173 @@
+"""A published tariff: one cluster per user and one price per cluster.
+
+Both tariff schemes publish this. A profile tariff (k-means on load
+shapes) also keeps its center profiles and the k-means run's convergence
+facts; a rate-band tariff (`gkc`, `skc`) keeps each user's rate and the
+band tolerance rho. This module owns both JSON layouts: `"kind": "profile"`
+clusters carry a center, `"kind": "rate"` clusters a rate range.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+
+import numpy as np
+
+from .model import PriceCurve, mci
+
+
+def center_prices(curve: PriceCurve, centers: np.ndarray) -> np.ndarray:
+    """A profile tariff's prices: the marginal cost impact of each center."""
+    return np.array([mci(curve, c) for c in centers])
+
+
+@dataclass
+class Tariff:
+    """Users partitioned into clusters, with a price per cluster.
+
+    `centers is None` tells the two kinds apart: rate-band tariffs admit a
+    user by billed rate, profile tariffs by distance to the centers.
+    """
+
+    user_ids: np.ndarray                 # (N,) str; any sequence is converted
+    labels: np.ndarray                   # (N,) cluster index per user
+    prices: np.ndarray | None            # (k,) rate per cluster
+    method: str                          # "profile", "gkc" or "skc"
+    # profile tariffs: center profiles and the k-means run's facts
+    centers: np.ndarray | None = None    # (k, T) simplex points
+    metric: str = "sqeuclidean"          # assignment metric
+    n_iter: int = 0
+    inertia: float = 0.0
+    label_fixpoint: bool = False         # stopped with labels == argmin(centers)
+    objective_trace: list | None = None  # objective after each assignment step
+    # rate-band tariffs
+    rates: np.ndarray | None = None      # (N,) each user's rate
+    rho: float | None = None             # band tolerance
+
+    def __post_init__(self):
+        self.user_ids = np.asarray(self.user_ids, dtype=str)
+        if np.any(self.labels < 0) or np.any(self.labels >= self.k):
+            raise ValueError("labels out of range")
+        if np.any(np.bincount(self.labels, minlength=self.k) == 0):
+            raise ValueError("every cluster must be nonempty")
+
+    @property
+    def k(self) -> int:
+        return len(self.prices if self.centers is None else self.centers)
+
+    @property
+    def assignments(self) -> dict:
+        return dict(zip(self.user_ids.tolist(), self.labels.tolist()))
+
+    def members(self, j: int) -> np.ndarray:
+        return np.flatnonzero(self.labels == j)
+
+    def member_ids(self, j: int) -> list:
+        return self.user_ids[self.members(j)].tolist()
+
+    def rate_ranges(self) -> np.ndarray:
+        """(k, 2) lowest and highest member rate of each band."""
+        ranges = np.empty((self.k, 2))
+        ranges[:, 0], ranges[:, 1] = np.inf, -np.inf
+        np.minimum.at(ranges[:, 0], self.labels, self.rates)
+        np.maximum.at(ranges[:, 1], self.labels, self.rates)
+        return ranges
+
+    def check_config(self, curve: PriceCurve, rho: float) -> None:
+        """Raise ValueError unless the tariff was made with this price curve and rho.
+
+        A rate tariff must carry `rho` (its band ranges are checked against
+        the rates by `from_json`); a profile tariff's prices must be the MCI
+        of its centers under `curve`, bit for bit.
+        """
+        if self.centers is None:
+            if self.rho != rho:
+                raise ValueError(f"tariff has rho={self.rho!r}, the config rho={rho!r}")
+            return
+        if self.prices is None:
+            return
+        expected = center_prices(curve, self.centers)
+        bad = np.flatnonzero(self.prices != expected)
+        if bad.size:
+            j = int(bad[0])
+            raise ValueError(
+                f"{bad.size} of {self.k} cluster prices are not the MCI of their "
+                f"centers under this config (first: cluster {j}, price "
+                f"{float(self.prices[j])!r}, MCI {float(expected[j])!r}); was the "
+                f"tariff made from another corpus or cost model?")
+
+    def to_json(self) -> str:
+        profile = self.centers is not None
+        ranges = None if profile else self.rate_ranges()
+        clusters = []
+        for j in range(self.k):
+            cluster = {
+                "price": None if self.prices is None else float(self.prices[j]),
+                "members": self.member_ids(j),
+            }
+            if profile:
+                cluster["center"] = [float(v) for v in self.centers[j]]
+            else:
+                cluster["rate_range"] = [float(v) for v in ranges[j]]
+            clusters.append(cluster)
+        if profile:
+            doc = {"kind": "profile", "k": self.k, "metric": self.metric}
+        else:
+            doc = {"kind": "rate", "method": self.method, "rho": self.rho, "k": self.k}
+        return json.dumps({**doc, "clusters": clusters}, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str, rates: dict | None = None) -> "Tariff":
+        """Rebuild a tariff of either kind from its JSON.
+
+        `rates` maps user id to rate in the corpus the tariff is applied
+        to. A rate tariff needs it; each band's stored `rate_range` must then
+        be the exact range of its members' rates. When given, every member
+        id must have a rate.
+        """
+        doc = json.loads(text)
+        kind = doc.get("kind")
+        if kind not in ("profile", "rate"):
+            raise ValueError(f"unknown clustering kind {kind!r}")
+        clusters = doc["clusters"]
+        user_ids = [uid for cluster in clusters for uid in cluster["members"]]
+        labels = np.repeat(np.arange(len(clusters)),
+                           [len(cluster["members"]) for cluster in clusters])
+        prices = [cluster["price"] for cluster in clusters]
+        if rates is not None:
+            missing = [uid for uid in user_ids if uid not in rates]
+            if missing:
+                raise ValueError(
+                    f"{len(missing)} clustering user ids are not in the corpus "
+                    f"(first: {missing[0]!r}); was it clustered from another corpus?")
+        if kind == "profile":
+            return cls(
+                user_ids=user_ids,
+                labels=labels,
+                prices=None if None in prices else np.array(prices, dtype=float),
+                method="profile",
+                centers=np.array([cluster["center"] for cluster in clusters], dtype=float),
+                metric=doc.get("metric", "sqeuclidean"),
+            )
+        if rates is None:
+            raise ValueError("a rate tariff needs its members' rates to load")
+        tariff = cls(
+            user_ids=user_ids,
+            labels=labels,
+            prices=np.array(prices, dtype=float),
+            method=doc["method"],
+            rates=np.array([rates[uid] for uid in user_ids], dtype=float),
+            rho=float(doc["rho"]),
+        )
+        stored = np.array([cluster["rate_range"] for cluster in clusters], dtype=float)
+        ranges = tariff.rate_ranges()
+        bad = np.flatnonzero(np.any(stored != ranges, axis=1))
+        if bad.size:
+            j = int(bad[0])
+            raise ValueError(
+                f"{bad.size} of {tariff.k} bands have a rate_range other than their "
+                f"members' rates (first: band {j}, stored {stored[j].tolist()}, rates "
+                f"span {ranges[j].tolist()}); was the tariff made from another corpus "
+                f"or cost model?")
+        return tariff

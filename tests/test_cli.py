@@ -203,6 +203,33 @@ def test_clustering_from_another_corpus_is_validation_error(
     assert "(first: 'u" in err
 
 
+@pytest.mark.parametrize("command", ["vulnerability", "diversity"])
+@pytest.mark.parametrize("method, override, message", [
+    pytest.param("profile", {"a": 0.00024},
+                 "cluster prices are not the MCI of their centers", id="profile-a"),
+    pytest.param("gkc", {"a": 0.00024},
+                 "bands have a rate_range other than their members' rates", id="gkc-a"),
+    pytest.param("skc", {"a": 0.00024},
+                 "bands have a rate_range other than their members' rates", id="skc-a"),
+    pytest.param("gkc", {"rho": 0.1}, "tariff has rho=0.5, the config rho=0.1", id="gkc-rho"),
+])
+def test_tariff_from_another_config_is_validation_error(
+        tmp_path, small_config, capsys, command, method, override, message):
+    corpus = tmp_path / "corpus.csv"
+    assert _run("datagen", "--config", small_config, "--out", tmp_path) == 0
+    assert _run("cluster", "--config", small_config, "--out", tmp_path,
+                "--corpus", corpus, "--method", method) == 0
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**json.loads(small_config.read_text()), **override}))
+    capsys.readouterr()
+    code = _run(command, "--config", other, "--out", tmp_path / "audit",
+                "--corpus", corpus, "--clustering", tmp_path / f"clustering_{method}.json")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert message in err
+
+
 def test_theta_grid_never_passes_theta_max(tmp_path, small_config):
     np.testing.assert_array_equal(RunConfig().theta_grid(),
                                   np.round(np.arange(41) * 0.005, 12))

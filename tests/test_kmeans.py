@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gridrates import (
-    Clustering,
     CostModel,
     KTooLarge,
     Population,
@@ -143,13 +142,3 @@ def test_sigma_matches_member_loop_oracle():
         expected = sum(dists) / len(dists)
         assert got[j] == pytest.approx(expected, rel=1e-12)
     assert np.all(got >= 0) and np.all(got <= 2.0)
-
-
-def test_clustering_json_round_trip():
-    pop = _random_population(30, seed=13)
-    prices = price_curve(CostModel(0.01, 0.5), aggregate(pop))
-    out = kmeans_profiles(pop, k=3, prices=prices, seed=2)
-    back = Clustering.from_json(out.to_json())
-    assert back.assignments == out.assignments
-    np.testing.assert_allclose(back.centers, out.centers, rtol=1e-15)
-    np.testing.assert_allclose(back.prices, out.prices, rtol=1e-15)

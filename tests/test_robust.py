@@ -7,7 +7,7 @@ from gridrates import (
     CostModel,
     InstanceTooLarge,
     MciTable,
-    RateClustering,
+    Tariff,
     aggregate,
     criterion_check,
     generate_corpus,
@@ -256,17 +256,15 @@ def test_criterion_holds_for_gkc_by_construction():
 
 
 def test_criterion_fails_for_min_priced_full_width_cluster():
-    values = np.array([0.0, 1.0])  # range exactly 2*rho with rho=0.5
-    clustering = RateClustering(
-        user_ids=np.array(["a", "b"]),
-        mcis=values,
+    tariff = Tariff(
+        user_ids=["a", "b"],
         labels=np.array([0, 0]),
-        bounds=np.array([[0.0, 1.0]]),
         prices=np.array([0.0]),  # cluster-min pricing: worst gap 2*rho
+        method="gkc",
+        rates=np.array([0.0, 1.0]),  # range exactly 2*rho with rho=0.5
         rho=0.5,
-        contiguous=True,
     )
-    ok, worst = criterion_check(clustering)
+    ok, worst = criterion_check(tariff)
     assert not ok
     assert worst == pytest.approx(1.0)
 
@@ -278,19 +276,3 @@ def test_criterion_check_against_explicit_table():
     ok, worst = criterion_check(out, table=table, rho=0.3)
     assert ok
     assert worst <= 0.3 + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_rate_clustering_json_round_trip():
-    table = _table([1.0, 1.5, 2.1, 4.0])
-    out = gkc(table, rho=0.5)
-    mcis_by_user = dict(zip(table.user_ids.tolist(), table.mcis.tolist()))
-    back = RateClustering.from_json(out.to_json(), mcis_by_user=mcis_by_user)
-    assert back.assignments == out.assignments
-    np.testing.assert_allclose(np.sort(back.prices), np.sort(out.prices))
-    ok, _ = criterion_check(back)
-    assert ok
-
