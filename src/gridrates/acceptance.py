@@ -55,12 +55,22 @@ def _timed(fn):
     return out, time.perf_counter() - start
 
 
-def _best_of(fn, repeats: int = 3) -> float:
-    best = math.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+def _best_of(fns: dict, repeats: int = 3, budget_s: float = 0.0) -> dict:
+    """Fastest call of each function, timed in turn round after round.
+
+    Rounds repeat until there are `repeats` of them and `budget_s` has
+    passed, so every function is sampled across the same stretch of time
+    and a slow spell of the host falls on all of them alike.
+    """
+    best = dict.fromkeys(fns, math.inf)
+    rounds = 0
+    start = time.perf_counter()
+    while rounds < repeats or time.perf_counter() - start < budget_s:
+        for key, fn in fns.items():
+            tic = time.perf_counter()
+            fn()
+            best[key] = min(best[key], time.perf_counter() - tic)
+        rounds += 1
     return best
 
 
@@ -244,8 +254,11 @@ def check_refine_vs_greedy() -> CheckResult:
     table = mci_table(reference, prices)
     greedy = gkc(table, rho)
 
-    t_refine = _best_of(lambda: skc(reference, prices, rho, base))
-    t_greedy = _best_of(lambda: gkc(mci_table(reference, prices), rho))
+    times = _best_of({
+        "refine": lambda: skc(reference, prices, rho, base),
+        "greedy": lambda: gkc(mci_table(reference, prices), rho),
+    })
+    t_refine, t_greedy = times["refine"], times["greedy"]
 
     # size trend at a band width where the bounded-support synthetic corpus
     # has not yet saturated the refinement's leaf count
@@ -349,7 +362,7 @@ def check_vulnerability_monotonicity() -> CheckResult:
 def check_scaling() -> CheckResult:
     def run():
         rng = np.random.default_rng(909)
-        times = {}
+        covers = {}
         for n in (10_000, 100_000, 1_000_000):
             values = rng.uniform(0.0, 30.0, size=n)
             # ids are bookkeeping; rank labels keep the timed region to the
@@ -359,8 +372,10 @@ def check_scaling() -> CheckResult:
             def sort_and_cover(values=values, ids=ids):
                 gkc(MciTable(user_ids=ids, mcis=np.sort(values, kind="stable")), 0.5)
 
-            times[n] = _best_of(sort_and_cover, repeats=5)
-        return times
+            covers[n] = sort_and_cover
+        # each step ratio divides two timings, so the sizes are timed in
+        # turn over a fixed budget rather than one after the other
+        return _best_of(covers, repeats=5, budget_s=3.0)
 
     times, elapsed = _timed(run)
     ratios = [times[100_000] / times[10_000], times[1_000_000] / times[100_000]]

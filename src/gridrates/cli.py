@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -121,10 +122,14 @@ def _out_dir(args) -> Path:
 
 
 def _load_population(args, cfg: RunConfig):
+    """The corpus, and the rows its ingest dropped, as meta sidecar fields."""
     if getattr(args, "corpus", None):
         result = ingest_csv(args.corpus)
-        return result.population, result.n_excluded
-    return generate_corpus(cfg.corpus_spec()), 0
+        pop, dropped = result.population, result.excluded_rows
+    else:
+        pop, dropped = generate_corpus(cfg.corpus_spec()), []
+    by_reason = Counter(reason for _, reason in dropped)
+    return pop, {"n_excluded": len(dropped), "excluded_by_reason": dict(by_reason)}
 
 
 def _prices_for(cfg: RunConfig, pop: Population):
@@ -159,12 +164,12 @@ def cmd_datagen(args) -> int:
 def cmd_price(args) -> int:
     cfg = _config_from_args(args)
     out = _out_dir(args)
-    pop, n_excluded = _load_population(args, cfg)
+    pop, excluded = _load_population(args, cfg)
     prices = _prices_for(cfg, pop)
     loads = pop.consumption.sum(axis=0)
     rows = [(t, loads[t], prices.prices[t]) for t in range(pop.horizon)]
     _write_table(out / "price.csv", ["t", "load", "price"], rows, cfg.hash())
-    _write_meta(out, "price", cfg, n_users=pop.n_users, n_excluded=n_excluded)
+    _write_meta(out, "price", cfg, n_users=pop.n_users, **excluded)
     return 0
 
 
@@ -186,9 +191,9 @@ def _kmeans_facts(tariff: Tariff) -> dict:
 def cmd_cluster(args) -> int:
     cfg = _config_from_args(args)
     out = _out_dir(args)
-    pop, n_excluded = _load_population(args, cfg)
+    pop, excluded = _load_population(args, cfg)
     prices = _prices_for(cfg, pop)
-    meta = {"method": args.method, "n_users": pop.n_users, "n_excluded": n_excluded}
+    meta = {"method": args.method, "n_users": pop.n_users, **excluded}
 
     if args.method == "profile":
         start = time.perf_counter()
@@ -231,7 +236,7 @@ def cmd_cluster(args) -> int:
 def cmd_vulnerability(args) -> int:
     cfg = _config_from_args(args)
     out = _out_dir(args)
-    pop, n_excluded = _load_population(args, cfg)
+    pop, excluded = _load_population(args, cfg)
     tariff = _load_clustering(args.clustering, cfg, pop)
     thetas = cfg.theta_grid()
     theta_ref = float(thetas[-1])
@@ -267,7 +272,7 @@ def cmd_vulnerability(args) -> int:
     (out / "disguise_reports.json").write_text(
         reports_to_json(reports) + "\n", encoding="utf-8")
     _write_meta(out, "vulnerability", cfg, n_users=pop.n_users,
-                n_excluded=n_excluded, theta_ref=theta_ref, strict=args.strict,
+                **excluded, theta_ref=theta_ref, strict=args.strict,
                 effort_s=effort_s, n_effort_pairs=n_pairs,
                 n_unreachable_pairs=n_unreachable,
                 n_degenerate_targets=degenerate_targets(tariff),
@@ -287,7 +292,7 @@ def _parse_grid(text: str | None, default) -> list:
 def cmd_sensitivity(args) -> int:
     cfg = _config_from_args(args)
     out = _out_dir(args)
-    pop, n_excluded = _load_population(args, cfg)
+    pop, excluded = _load_population(args, cfg)
     loads = SystemLoad(pop.consumption.sum(axis=0))
     rho_grid = _parse_grid(args.rho_grid, np.round(np.geomspace(0.05, 5.0, 20), 9))
     a_grid = _parse_grid(args.a_grid, [cfg.a / 2, cfg.a, cfg.a * 2])
@@ -299,14 +304,14 @@ def cmd_sensitivity(args) -> int:
             rows.append((rho, a, gkc(table, float(rho)).k))
     _write_table(out / "sensitivity.csv", ["rho", "a", "kappa"], rows, cfg.hash())
     _write_meta(out, "sensitivity", cfg, n_users=pop.n_users,
-                n_excluded=n_excluded, rho_points=len(rho_grid), a_points=len(a_grid))
+                **excluded, rho_points=len(rho_grid), a_points=len(a_grid))
     return 0
 
 
 def cmd_diversity(args) -> int:
     cfg = _config_from_args(args)
     out = _out_dir(args)
-    pop, n_excluded = _load_population(args, cfg)
+    pop, excluded = _load_population(args, cfg)
     tariff = _load_clustering(args.clustering, cfg, pop)
     prices = _prices_for(cfg, pop)
 
@@ -331,7 +336,7 @@ def cmd_diversity(args) -> int:
         (out / f"subclusters_{j}.json").write_text(
             inner.to_json() + "\n", encoding="utf-8")
     _write_meta(out, "diversity", cfg, n_users=pop.n_users,
-                n_excluded=n_excluded, drilled=drill)
+                **excluded, drilled=drill)
     return 0
 
 

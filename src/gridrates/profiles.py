@@ -132,6 +132,20 @@ def aggregate(pop: Population) -> SystemLoad:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
+# cells converted per bulk parse (256 rows at T=24): bounds the cell strings
+# held at once, and the interpreter memory they leave behind once freed
+_CHUNK_CELLS = 6144
+
+# why a row is dropped, in the order each row is tested
+_EXCLUSION_REASONS = (
+    "non-numeric or empty cell",
+    "missing value",
+    "infinite value",
+    "negative consumption",
+    "zero total consumption",
+)
+
+
 @dataclass
 class IngestResult:
     """A parsed population plus bookkeeping on dropped rows."""
@@ -141,14 +155,64 @@ class IngestResult:
     excluded_rows: list  # (row_number, reason)
 
 
+def _parse_chunk(cells: list) -> tuple[np.ndarray, np.ndarray]:
+    """Values of equal-length rows of cell strings, and each row's index
+    into `_EXCLUSION_REASONS` (-1 keeps the row).
+
+    `np.array(..., dtype=float)` converts each string with `float()`, so it
+    accepts exactly the spellings `float()` accepts.
+    """
+    unparsed = np.zeros(len(cells), dtype=bool)
+    try:
+        values = np.array(cells, dtype=float)
+    except ValueError:
+        # only now convert row by row, to find the rows holding a bad cell
+        values = np.zeros((len(cells), len(cells[0])))
+        for i, row in enumerate(cells):
+            try:
+                values[i] = np.array(row, dtype=float)
+            except ValueError:
+                unparsed[i] = True
+    with np.errstate(invalid="ignore", over="ignore"):   # inf - inf, overflow
+        failed = np.vstack([
+            unparsed,
+            np.isnan(values).any(axis=1),
+            np.isinf(values).any(axis=1),
+            (values < 0).any(axis=1),
+            values.sum(axis=1) <= 0,
+        ])
+    return values, np.where(failed.any(axis=0), failed.argmax(axis=0), -1)
+
+
 def ingest_csv(path) -> IngestResult:
     """Read profiles from a CSV with header ``user_id,t0,...,t{T-1}``.
 
     Rows with empty, non-numeric, infinite or negative cells, and rows
     with zero total consumption, are dropped and counted. A row whose field
     count disagrees with the header raises InconsistentHorizon; a missing
-    or duplicate user id raises MalformedRow.
+    or duplicate user id raises MalformedRow. Rows are judged in order, so
+    the first bad row in the file decides the error.
     """
+    user_ids: list[str] = []
+    blocks: list[np.ndarray] = []
+    seen: set[str] = set()   # ids of kept rows only
+    excluded: list[tuple[int, str]] = []
+
+    def judge(rows):
+        """Keep or exclude each (row_number, user_id, cells) of a chunk."""
+        if not rows:
+            return
+        values, reasons = _parse_chunk([cells for _, _, cells in rows])
+        for (row_number, uid, _), reason in zip(rows, reasons.tolist()):
+            if uid in seen:
+                raise MalformedRow(row_number, f"duplicate user_id {uid!r}")
+            if reason >= 0:
+                excluded.append((row_number, _EXCLUSION_REASONS[reason]))
+            else:
+                seen.add(uid)
+                user_ids.append(uid)
+        blocks.append(values[reasons < 0])
+
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -160,43 +224,30 @@ def ingest_csv(path) -> IngestResult:
                 f"{path}: header must be user_id,t0,...  got {header[:3]}..."
             )
         horizon = len(header) - 1
+        chunk_rows = max(1, _CHUNK_CELLS // horizon)
 
-        user_ids: list[str] = []
-        rows: list[np.ndarray] = []
-        seen: set[str] = set()
-        excluded: list[tuple[int, str]] = []
-        for row_number, row in enumerate(reader, start=2):
-            if len(row) != horizon + 1:
-                raise InconsistentHorizon(
-                    f"{path} row {row_number}: {len(row) - 1} slots, header has {horizon}"
-                )
-            uid = row[0].strip()
-            if not uid:
-                raise MalformedRow(row_number, "missing user_id")
-            if uid in seen:
-                raise MalformedRow(row_number, f"duplicate user_id {uid!r}")
-            try:
-                values = np.array([float(cell) for cell in row[1:]])
-            except ValueError:
-                excluded.append((row_number, "non-numeric or empty cell"))
-                continue
-            if not np.isfinite(values).all():
-                reason = "missing value" if np.isnan(values).any() else "infinite value"
-                excluded.append((row_number, reason))
-                continue
-            if np.any(values < 0):
-                excluded.append((row_number, "negative consumption"))
-                continue
-            if values.sum() <= 0:
-                excluded.append((row_number, "zero total consumption"))
-                continue
-            seen.add(uid)
-            user_ids.append(uid)
-            rows.append(values)
+        pending: list[tuple[int, str, list]] = []
+        try:
+            for row_number, row in enumerate(reader, start=2):
+                if len(row) != horizon + 1:
+                    raise InconsistentHorizon(
+                        f"{path} row {row_number}: {len(row) - 1} slots, header has {horizon}"
+                    )
+                uid = row[0].strip()
+                if not uid:
+                    raise MalformedRow(row_number, "missing user_id")
+                pending.append((row_number, uid, row[1:]))
+                if len(pending) == chunk_rows:
+                    rows, pending = pending, []
+                    judge(rows)
+        finally:
+            # the rows before a failing row are judged before its error
+            # propagates, so a duplicate id among them still raises first
+            judge(pending)
 
-    if not rows:
+    if not user_ids:
         raise EmptyPopulation(f"{path}: no usable rows")
-    pop = Population(user_ids, np.vstack(rows))
+    pop = Population(user_ids, np.vstack(blocks))
     return IngestResult(pop, len(excluded), excluded)
 
 

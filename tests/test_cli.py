@@ -72,6 +72,27 @@ def test_price_excludes_rows_with_infinite_cells(tmp_path):
     assert all(np.isfinite(float(v)) for line in lines[2:] for v in line.split(","))
     meta = json.loads((tmp_path / "meta_price.json").read_text())
     assert meta["n_users"] == 39 and meta["n_excluded"] == 1
+    assert meta["excluded_by_reason"] == {"infinite value": 1}
+
+
+def test_meta_breaks_exclusions_down_by_reason(tmp_path):
+    corpus = tmp_path / "mixed.csv"
+    rows = [f"u{i}," + ",".join([str(20000 + i)] * 24) for i in range(40)]
+    for i, cell in ((1, "abc"), (2, ""), (5, "nan"), (7, "-inf"), (8, "-3")):
+        rows[i] = f"u{i}," + ",".join(["1000"] * 23 + [cell])
+    rows[9] = "u9," + ",".join(["0"] * 24)
+    corpus.write_text("user_id," + ",".join(f"t{t}" for t in range(24)) + "\n"
+                      + "\n".join(rows) + "\n")
+    for argv in (["price"], ["cluster", "--method", "gkc"], ["sensitivity"]):
+        assert _run(*argv, "--corpus", corpus, "--out", tmp_path) == 0
+    for name in ("price", "cluster_gkc", "sensitivity"):
+        meta = json.loads((tmp_path / f"meta_{name}.json").read_text())
+        assert meta["n_users"] == 34 and meta["n_excluded"] == 6
+        assert meta["excluded_by_reason"] == {
+            "non-numeric or empty cell": 2, "missing value": 1,
+            "infinite value": 1, "negative consumption": 1,
+            "zero total consumption": 1,
+        }
 
 
 def test_unknown_flag_is_validation_error(tmp_path):

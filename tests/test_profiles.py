@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from gridrates import (
     EmptyPopulation,
+    IngestResult,
     InconsistentHorizon,
     LoadProfile,
     MalformedRow,
@@ -19,6 +22,7 @@ from gridrates import (
     residential_spec,
     write_csv,
 )
+from gridrates import profiles
 
 
 def test_normalize_symmetric():
@@ -160,6 +164,166 @@ def test_csv_round_trip(tmp_path):
     back = ingest_csv(path)
     assert back.population.user_ids == pop.user_ids
     np.testing.assert_allclose(back.population.consumption, pop.consumption, rtol=1e-8)
+
+
+def _reference_ingest_csv(path) -> IngestResult:
+    """The row-by-row `ingest_csv` that the bulk parse replaced, kept
+    verbatim as the oracle for the differential test below."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InconsistentHorizon(f"{path}: empty file, no header") from None
+        if len(header) < 2 or header[0] != "user_id":
+            raise InconsistentHorizon(
+                f"{path}: header must be user_id,t0,...  got {header[:3]}..."
+            )
+        horizon = len(header) - 1
+
+        user_ids: list[str] = []
+        rows: list[np.ndarray] = []
+        seen: set[str] = set()
+        excluded: list[tuple[int, str]] = []
+        for row_number, row in enumerate(reader, start=2):
+            if len(row) != horizon + 1:
+                raise InconsistentHorizon(
+                    f"{path} row {row_number}: {len(row) - 1} slots, header has {horizon}"
+                )
+            uid = row[0].strip()
+            if not uid:
+                raise MalformedRow(row_number, "missing user_id")
+            if uid in seen:
+                raise MalformedRow(row_number, f"duplicate user_id {uid!r}")
+            try:
+                values = np.array([float(cell) for cell in row[1:]])
+            except ValueError:
+                excluded.append((row_number, "non-numeric or empty cell"))
+                continue
+            if not np.isfinite(values).all():
+                reason = "missing value" if np.isnan(values).any() else "infinite value"
+                excluded.append((row_number, reason))
+                continue
+            if np.any(values < 0):
+                excluded.append((row_number, "negative consumption"))
+                continue
+            if values.sum() <= 0:
+                excluded.append((row_number, "zero total consumption"))
+                continue
+            seen.add(uid)
+            user_ids.append(uid)
+            rows.append(values)
+
+    if not rows:
+        raise EmptyPopulation(f"{path}: no usable rows")
+    pop = Population(user_ids, np.vstack(rows))
+    return IngestResult(pop, len(excluded), excluded)
+
+
+def _outcome(ingest, path):
+    """Everything a caller can observe of one ingest: result or error."""
+    try:
+        result = ingest(path)
+    except (InconsistentHorizon, MalformedRow, EmptyPopulation) as exc:
+        return type(exc), str(exc)
+    pop = result.population
+    return (pop.user_ids, pop.consumption.tobytes(), result.n_excluded,
+            result.excluded_rows)
+
+
+_GOOD_CELLS = ["1", "0", "2.5", "0.0", "-0", "3e2", " 3", "1_0", "7 "]
+_BAD_CELLS = ["", "abc", "nan", "-nan", "inf", "-inf", "Infinity", "1e400",
+              "-1", "-2.5e-3", "1e308", "0x10"]
+_IDS = ["a", "b", "c", "d", " a", "e,f", "g h", "", " "]
+
+
+def _random_csv(rng, path):
+    horizon = int(rng.integers(1, 5))
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["user_id"] + [f"t{t}" for t in range(horizon)])
+    for i in range(int(rng.integers(0, 30))):
+        # mostly distinct ids; a few from a small pool to force duplicates
+        uid = _IDS[rng.integers(len(_IDS))] if rng.random() < 0.3 else f"u{i}"
+        width = horizon
+        if rng.random() < 0.03:
+            width += int(rng.choice([-1, 1]))   # ragged row
+        cells = [_GOOD_CELLS[rng.integers(len(_GOOD_CELLS))]
+                 if rng.random() < 0.9 else _BAD_CELLS[rng.integers(len(_BAD_CELLS))]
+                 for _ in range(width)]
+        if rng.random() < 0.05:
+            cells = ["0"] * width                # zero row
+        writer.writerow([uid] + cells)
+    path.write_text(out.getvalue(), encoding="utf-8")
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 7, 6144])
+def test_ingest_matches_row_by_row_reference(tmp_path, monkeypatch, chunk_cells):
+    monkeypatch.setattr(profiles, "_CHUNK_CELLS", chunk_cells)
+    rng = np.random.default_rng(20_000 + chunk_cells)
+    kinds = set()
+    for case in range(200):
+        path = tmp_path / f"case{case}.csv"
+        _random_csv(rng, path)
+        with np.errstate(all="ignore"):
+            expected = _outcome(_reference_ingest_csv, path)
+        assert _outcome(ingest_csv, path) == expected, path.read_text()
+        kinds.add(expected[0] if isinstance(expected[0], type) else "ok")
+    # the seeded cases reach every outcome
+    assert kinds == {"ok", InconsistentHorizon, MalformedRow, EmptyPopulation}
+
+
+def test_ingest_across_chunk_boundaries(tmp_path, monkeypatch):
+    monkeypatch.setattr(profiles, "_CHUNK_CELLS", 8)   # 4 rows of 2 slots
+    path = tmp_path / "pop.csv"
+    rows = [f"u{i},{i + 1},1" for i in range(10)]
+    rows[3] = "u3,abc,1"    # last row of chunk 1
+    rows[4] = "u4,-1,1"     # first row of chunk 2
+    rows[8] = "u8,0,0"      # first row of chunk 3
+    path.write_text("user_id,t0,t1\n" + "\n".join(rows) + "\n")
+    result = ingest_csv(path)
+    assert result.population.user_ids == [f"u{i}" for i in (0, 1, 2, 5, 6, 7, 9)]
+    assert result.population.consumption[:, 0].tolist() == [1, 2, 3, 6, 7, 8, 10]
+    assert result.excluded_rows == [(5, "non-numeric or empty cell"),
+                                    (6, "negative consumption"),
+                                    (10, "zero total consumption")]
+
+    # a duplicate of a kept id in a later chunk; one of an excluded id is fine
+    rows[6] = "u4,1,1"
+    rows[7] = "u1,1,1"
+    path.write_text("user_id,t0,t1\n" + "\n".join(rows) + "\n")
+    with pytest.raises(MalformedRow, match="row 9: duplicate user_id 'u1'"):
+        ingest_csv(path)
+
+
+@pytest.mark.parametrize("bad_row", ["x,1,2,3", ",1,2"])
+def test_ingest_duplicate_before_row_error_raises_first(tmp_path, bad_row):
+    path = tmp_path / "pop.csv"
+    path.write_text(f"user_id,t0,t1\na,1,2\na,3,4\n{bad_row}\n")
+    with pytest.raises(MalformedRow, match="row 3: duplicate user_id 'a'"):
+        ingest_csv(path)
+    path.write_text(f"user_id,t0,t1\na,1,2\nb,3,4\n{bad_row}\nb,5,6\n")
+    with pytest.raises((InconsistentHorizon, MalformedRow), match="row 4"):
+        ingest_csv(path)
+
+
+def test_ingest_quoted_id_with_comma(tmp_path):
+    path = tmp_path / "pop.csv"
+    path.write_text('user_id,t0,t1\n"Smith, J",1,2\n" b ",3,4\n')
+    result = ingest_csv(path)
+    assert result.population.user_ids == ["Smith, J", "b"]
+    assert result.population.consumption.tolist() == [[1, 2], [3, 4]]
+
+
+def test_ingest_accepts_float_spellings(tmp_path):
+    path = tmp_path / "pop.csv"
+    path.write_text("user_id,t0,t1\na, 3,1_0\nb,Infinity,1\nc,1e400,1\n"
+                    "d,2.5e0 ,4\ne,1__0,1\n")
+    result = ingest_csv(path)
+    assert result.population.user_ids == ["a", "d"]
+    assert result.population.consumption.tolist() == [[3.0, 10.0], [2.5, 4.0]]
+    assert result.excluded_rows == [(3, "infinite value"), (4, "infinite value"),
+                                    (6, "non-numeric or empty cell")]
 
 
 # ---------------------------------------------------------------------------
