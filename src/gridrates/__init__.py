@@ -56,7 +56,6 @@ from .robust import (
 )
 from .tariff import Tariff
 from .vulnerability import (
-    DisguiseReport,
     Efforts,
     SmoothnessReport,
     count_disguisers,

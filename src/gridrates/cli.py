@@ -39,10 +39,10 @@ from .vulnerability import (
     disguise_reports,
     effort_matrix,
     measure_smoothness,
-    reports_to_json,
     smoothness_bound,
     theta_sweep,
     write_reports_csv,
+    write_reports_json,
 )
 
 VALIDATION_ERRORS = (
@@ -61,18 +61,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return CSV_FLOAT_FMT % value
-    return str(value)
-
-
-def _write_table(path, header, rows, cfg_hash) -> None:
+def _write_table(path, header, rows: list, cfg_hash) -> None:
+    """A result table; each column's format (float or text) is its first row's."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# config_hash={cfg_hash}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
+        if rows:
+            fmt = ",".join(CSV_FLOAT_FMT if isinstance(v, (float, np.floating)) else "%s"
+                           for v in rows[0]) + "\n"
+            fh.writelines(fmt % tuple(row) for row in rows)
 
 
 def _np_default(value):
@@ -174,10 +171,10 @@ def cmd_price(args) -> int:
 
 
 def _write_user_rates(path, tariff: Tariff, cfg_hash) -> None:
-    rows = [
-        (uid, label, tariff.prices[label])
-        for uid, label in sorted(tariff.assignments.items())
-    ]
+    order = np.argsort(tariff.user_ids, kind="stable")   # code-point order of ids
+    labels = tariff.labels[order]
+    rows = list(zip(tariff.user_ids[order].tolist(), labels.tolist(),
+                    tariff.prices[labels].tolist()))
     _write_table(path, ["user_id", "cluster", "rate"], rows, cfg_hash)
 
 
@@ -242,8 +239,8 @@ def cmd_vulnerability(args) -> int:
     theta_ref = float(thetas[-1])
     bound = smoothness_bound(cfg.rho, theta_ref)
 
-    # one effort matrix feeds every report; it is dropped before the
-    # reports are serialized, so it never sits beside their JSON
+    # one effort matrix feeds every report; the reports are columns over
+    # it, streamed to their files one chunk of users at a time
     start = time.perf_counter()
     efforts = effort_matrix(tariff, pop, strict=args.strict)
     effort_s = time.perf_counter() - start
@@ -252,7 +249,6 @@ def cmd_vulnerability(args) -> int:
     smooth = measure_smoothness(efforts, theta_ref, bound=bound)
     n_pairs = efforts.efforts.size - len(efforts.user_ids)   # own column left out
     n_unreachable = int(np.isinf(efforts.efforts).sum()) - len(efforts.user_ids)
-    del efforts
 
     header = ["theta", "pct_strategic"] + [f"n_{j}" for j in range(tariff.k)]
     table_rows = [
@@ -269,8 +265,7 @@ def cmd_vulnerability(args) -> int:
         "worst_pairs": sorted(smooth.pairs, key=lambda p: -p[2])[:20],
     })
     write_reports_csv(reports, out / "disguise_reports.csv")
-    (out / "disguise_reports.json").write_text(
-        reports_to_json(reports) + "\n", encoding="utf-8")
+    write_reports_json(reports, out / "disguise_reports.json")
     _write_meta(out, "vulnerability", cfg, n_users=pop.n_users,
                 **excluded, theta_ref=theta_ref, strict=args.strict,
                 effort_s=effort_s, n_effort_pairs=n_pairs,

@@ -252,13 +252,26 @@ def ingest_csv(path) -> IngestResult:
 
 
 def write_csv(pop: Population, path) -> None:
-    """Write a population in the same CSV layout `ingest_csv` reads."""
+    """Write a population in the same CSV layout `ingest_csv` reads.
+
+    A chunk of rows is formatted at once, unless one of its ids is not a
+    str or is one csv.writer quotes (it holds , " CR or LF).
+    """
     horizon = pop.horizon
+    row_fmt = "%s," + ",".join([CSV_FLOAT_FMT] * horizon) + "\r\n"
+    chunk_rows = max(1, _CHUNK_CELLS // horizon)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user_id"] + [f"t{t}" for t in range(horizon)])
-        for uid, row in zip(pop.user_ids, pop.consumption):
-            writer.writerow([uid] + [CSV_FLOAT_FMT % v for v in row])
+        for start in range(0, pop.n_users, chunk_rows):
+            ids = pop.user_ids[start:start + chunk_rows]
+            rows = pop.consumption[start:start + chunk_rows].tolist()
+            if all(isinstance(uid, str) for uid in ids) and not any(
+                    c in "".join(ids) for c in ',"\r\n'):
+                fh.write("".join([row_fmt % (uid, *row) for uid, row in zip(ids, rows)]))
+            else:
+                writer.writerows([uid] + [CSV_FLOAT_FMT % v for v in row]
+                                 for uid, row in zip(ids, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,17 @@ def test_cluster_methods_and_artifacts(tmp_path, small_config):
         assert meta["inertia"] > 0
 
 
+def test_user_rates_in_code_point_order_of_ids(tmp_path):
+    ids = ["b", "B", "caf\u00e9", "a10", "a9", "Z", "a", "\u65e5"]
+    labels = np.array([0, 1, 0, 1, 0, 1, 0, 1])
+    tariff = cli.Tariff(ids, labels, np.array([1.5, 0.1 + 0.2]), "gkc")
+    cli._write_user_rates(tmp_path / "rates.csv", tariff, "h")
+    expected = [f"{uid},{label},{tariff.prices[label]:.9g}"
+                for uid, label in sorted(tariff.assignments.items())]
+    assert (tmp_path / "rates.csv").read_text(encoding="utf-8").splitlines() == [
+        "# config_hash=h", "user_id,cluster,rate", *expected]
+
+
 def test_vulnerability_sweep_monotone_columns(tmp_path, small_config):
     assert _run("datagen", "--config", small_config, "--out", tmp_path) == 0
     corpus = tmp_path / "corpus.csv"

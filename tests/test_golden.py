@@ -3,7 +3,8 @@
 Acceptance criterion 10 compares two runs inside one process, so it cannot
 see a change that moves every run alike. This test runs criterion 10's
 pinned 500-user config through every command, plus `vulnerability --strict`
-on its profile tariff and `vulnerability` on its gkc tariff, and compares
+on its profile tariff and `vulnerability` on its gkc and skc tariffs (the
+skc one has 80 bands), and compares
 each result file (not the `meta_*` sidecars, which hold timings) with the
 digest recorded here. An intended change to a golden file must update its
 digest and say why in CHANGES.md.
@@ -68,6 +69,14 @@ GOLDEN = {
         "ff3655fea7674eadbcbaac0bb93a2a961d3f08120d5f48c0deb984e2e5d6efe0",
     "strict/vulnerability_sweep.csv":
         "76f7a020a94fc61264f92c9634b4fa688322845b7041a6c3968b7d45b2814131",
+    "skc/disguise_reports.csv":
+        "81718a39407abbde915a54f3d7aa7edd75e28ac00c2c0a6e2dff4803215efe44",
+    "skc/disguise_reports.json":
+        "4183d953651dbef86f488f8f95cf664beeef7fa3e1cf9d015bfe7e2d642a958f",
+    "skc/smoothness.json":
+        "a291b015981681913b99050da722e3fdcad634f3d432d75c2fcc8cf91135b2ee",
+    "skc/vulnerability_sweep.csv":
+        "fb89716356cecb5b59174539d4fa7f0f159e7fd74ae7aabf3cb2b4edaff635ac",
 }
 
 
@@ -91,6 +100,8 @@ def _pipeline(root):
                     "--clustering", base / "clustering_profile.json"]),
         ("gkc", ["vulnerability", "--corpus", corpus,
                  "--clustering", base / "clustering_gkc.json"]),
+        ("skc", ["vulnerability", "--corpus", corpus,
+                 "--clustering", base / "clustering_skc.json"]),
     )
     for sub, argv in steps:
         out = root / sub
@@ -103,7 +114,7 @@ def test_result_files_match_golden_digests(tmp_path):
     _pipeline(tmp_path)
     digests = {
         f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
-        for sub in ("base", "strict", "gkc")
+        for sub in ("base", "strict", "gkc", "skc")
         for path in sorted((tmp_path / sub).iterdir())
         if not path.name.startswith("meta_")
     }

@@ -326,6 +326,43 @@ def test_ingest_accepts_float_spellings(tmp_path):
                                     (6, "non-numeric or empty cell")]
 
 
+def _reference_write_csv(pop: Population, path) -> None:
+    """The row-by-row `write_csv` that the bulk writer replaced, kept
+    verbatim as the oracle for its bytes."""
+    horizon = pop.horizon
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["user_id"] + [f"t{t}" for t in range(horizon)])
+        for uid, row in zip(pop.user_ids, pop.consumption):
+            writer.writerow([uid] + [profiles.CSV_FLOAT_FMT % v for v in row])
+
+
+def _assert_same(got, expected):
+    """Equal texts or bytes; a mismatch names its first differing position
+    (pytest's own diff of two large files takes minutes)."""
+    if got != expected:
+        at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
+                  min(len(got), len(expected)))
+        pytest.fail(f"first difference at {at}: {got[at - 60:at + 60]!r} "
+                    f"!= {expected[at - 60:at + 60]!r}")
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 50, 6144])
+def test_write_csv_matches_csv_writer_bytes(tmp_path, monkeypatch, chunk_cells):
+    monkeypatch.setattr(profiles, "_CHUNK_CELLS", chunk_cells)
+    pop = generate_corpus(residential_spec(n_users=300, seed=9))
+    ids = list(pop.user_ids)
+    # ids csv.writer quotes, in the first, a middle and the last chunk
+    for i, uid in zip((0, 130, 299), ("Smith, J", 'say "hi"', "two\nlines")):
+        ids[i] = uid
+    ids[7], ids[200] = "cr\rhere", "caf\u00e9 \u65e5\u672c"
+    pop = Population(ids, pop.consumption * np.linspace(1e-3, 1e6, 300)[:, None])
+    got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+    write_csv(pop, got)
+    _reference_write_csv(pop, expected)
+    _assert_same(got.read_bytes(), expected.read_bytes())
+
+
 # ---------------------------------------------------------------------------
 # Synthetic corpora
 # ---------------------------------------------------------------------------
