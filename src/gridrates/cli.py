@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
+import resource
 import sys
 import time
 from collections import Counter
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .config import CSV_FLOAT_FMT, RunConfig
 from .errors import (
     ConfigError,
@@ -89,7 +92,15 @@ def _write_json(path, doc) -> None:
 
 
 def _write_meta(out_dir: Path, command: str, cfg: RunConfig, **extra) -> None:
-    doc = {"command": command, "config_hash": cfg.hash(), **extra}
+    doc = {
+        "command": command,
+        "config_hash": cfg.hash(),
+        # the process's peak resident memory so far; Linux reports KiB
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "versions": {"gridrates": __version__, "numpy": np.__version__,
+                     "python": platform.python_version()},
+        **extra,
+    }
     _write_json(out_dir / f"meta_{command}.json", doc)
 
 

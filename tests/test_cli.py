@@ -1,9 +1,10 @@
 import json
+import platform
 
 import numpy as np
 import pytest
 
-from gridrates import cli, vulnerability
+from gridrates import __version__, acceptance, cli, vulnerability
 from gridrates.config import RunConfig
 from gridrates.errors import ConfigError
 
@@ -309,6 +310,34 @@ def test_diversity_sigma_and_drill(tmp_path, small_config):
     assert all(0.0 <= s <= 2.0 for s in sigmas)
     sub = json.loads((tmp_path / "subclusters_0.json").read_text())
     assert sub["kind"] == "profile"
+
+
+def test_every_sidecar_records_peak_memory_and_versions(tmp_path, small_config, monkeypatch):
+    monkeypatch.setattr(acceptance, "run_all", lambda out_dir, emit: [])   # verify, not its criteria
+    corpus = tmp_path / "corpus.csv"
+    tariff = tmp_path / "clustering_profile.json"
+    runs = [
+        ("datagen",), ("price", "--corpus", corpus),
+        ("cluster", "--corpus", corpus, "--method", "profile"),
+        ("cluster", "--corpus", corpus, "--method", "gkc"),
+        ("cluster", "--corpus", corpus, "--method", "skc"),
+        ("vulnerability", "--corpus", corpus, "--clustering", tariff),
+        ("sensitivity", "--corpus", corpus, "--rho-grid", "0.5", "--a-grid", "0.00012"),
+        ("diversity", "--corpus", corpus, "--clustering", tariff),
+        ("verify",),
+    ]
+    for argv in runs:
+        assert _run(argv[0], "--config", small_config, "--out", tmp_path, *argv[1:]) == 0
+    sidecars = sorted(tmp_path.glob("meta_*.json"))
+    assert [p.name for p in sidecars] == [
+        "meta_cluster_gkc.json", "meta_cluster_profile.json", "meta_cluster_skc.json",
+        "meta_datagen.json", "meta_diversity.json", "meta_price.json",
+        "meta_sensitivity.json", "meta_verify.json", "meta_vulnerability.json"]
+    for path in sidecars:
+        meta = json.loads(path.read_text())
+        assert 1.0 < meta["peak_rss_mb"] < 1e5, path.name
+        assert meta["versions"] == {"gridrates": __version__, "numpy": np.__version__,
+                                    "python": platform.python_version()}, path.name
 
 
 def test_missing_corpus_is_runtime_error(tmp_path, small_config):
