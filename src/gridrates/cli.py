@@ -17,6 +17,7 @@ import resource
 import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .errors import (
     ZeroProfile,
 )
 from .kmeans import kmeans_profiles, sigma
-from .model import SystemLoad, mci_matrix, price_curve
+from .model import PriceCurve, SystemLoad, mci_matrix, price_curve
 from .profiles import Population, generate_corpus, ingest_csv, write_csv
 from .robust import criterion_check, gkc, mci_table, skc
 from .tariff import Tariff
@@ -91,6 +92,14 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
+@contextmanager
+def _stage(stages: dict, name: str):
+    """Record the seconds the block takes as stages[name], for the sidecar."""
+    start = time.perf_counter()
+    yield
+    stages[name] = time.perf_counter() - start
+
+
 def _write_meta(out_dir: Path, command: str, cfg: RunConfig, **extra) -> None:
     doc = {
         "command": command,
@@ -144,9 +153,16 @@ def _prices_for(cfg: RunConfig, pop: Population):
     return price_curve(cfg.cost_model(), SystemLoad(pop.consumption.sum(axis=0)))
 
 
-def _load_clustering(path, cfg: RunConfig, pop: Population) -> Tariff:
-    """A tariff JSON, checked against the corpus and config it is applied to."""
-    curve = _prices_for(cfg, pop)
+def _nonpositive_prices(curve: PriceCurve):
+    """The count and minimum of a curve's prices <= 0 (what `price_curve`
+    warns of), or None when it has none."""
+    bad = curve.prices[curve.prices <= 0]
+    return {"n": bad.size, "min": bad.min()} if bad.size else None
+
+
+def _load_clustering(path, cfg: RunConfig, pop: Population, curve: PriceCurve) -> Tariff:
+    """A tariff JSON, checked against the corpus and the config's price curve
+    it is applied to."""
     rates = dict(zip(pop.user_ids, mci_matrix(curve, pop.consumption).tolist()))
     try:
         tariff = Tariff.from_json(Path(path).read_text(encoding="utf-8"), rates)
@@ -163,21 +179,30 @@ def _load_clustering(path, cfg: RunConfig, pop: Population) -> Tariff:
 def cmd_datagen(args) -> int:
     cfg = _config_from_args(args)
     out = _out_dir(args)
-    pop = generate_corpus(cfg.corpus_spec())
-    write_csv(pop, out / "corpus.csv")
-    _write_meta(out, "datagen", cfg, n_users=pop.n_users, horizon=pop.horizon)
+    stages: dict = {}
+    with _stage(stages, "compute"):
+        pop = generate_corpus(cfg.corpus_spec())
+    with _stage(stages, "write"):
+        write_csv(pop, out / "corpus.csv")
+    _write_meta(out, "datagen", cfg, n_users=pop.n_users, horizon=pop.horizon,
+                stages=stages)
     return 0
 
 
 def cmd_price(args) -> int:
     cfg = _config_from_args(args)
     out = _out_dir(args)
-    pop, excluded = _load_population(args, cfg)
-    prices = _prices_for(cfg, pop)
-    loads = pop.consumption.sum(axis=0)
-    rows = [(t, loads[t], prices.prices[t]) for t in range(pop.horizon)]
-    _write_table(out / "price.csv", ["t", "load", "price"], rows, cfg.hash())
-    _write_meta(out, "price", cfg, n_users=pop.n_users, **excluded)
+    stages: dict = {}
+    with _stage(stages, "load"):
+        pop, excluded = _load_population(args, cfg)
+    with _stage(stages, "compute"):
+        prices = _prices_for(cfg, pop)
+        loads = pop.consumption.sum(axis=0)
+        rows = [(t, loads[t], prices.prices[t]) for t in range(pop.horizon)]
+    with _stage(stages, "write"):
+        _write_table(out / "price.csv", ["t", "load", "price"], rows, cfg.hash())
+    _write_meta(out, "price", cfg, n_users=pop.n_users, **excluded,
+                nonpositive_prices=_nonpositive_prices(prices), stages=stages)
     return 0
 
 
@@ -199,65 +224,74 @@ def _kmeans_facts(tariff: Tariff) -> dict:
 def cmd_cluster(args) -> int:
     cfg = _config_from_args(args)
     out = _out_dir(args)
-    pop, excluded = _load_population(args, cfg)
-    prices = _prices_for(cfg, pop)
+    stages: dict = {}
+    with _stage(stages, "load"):
+        pop, excluded = _load_population(args, cfg)
     meta = {"method": args.method, "n_users": pop.n_users, **excluded}
 
-    if args.method == "profile":
-        start = time.perf_counter()
-        tariff = kmeans_profiles(
-            pop, k=cfg.baseline_k(), prices=prices,
-            seed=cfg.seed, metric=cfg.metric,
-        )
-        meta["wall_time_s"] = time.perf_counter() - start
-        meta.update(_kmeans_facts(tariff))
-    elif args.method == "gkc":
-        start = time.perf_counter()
-        tariff = gkc(mci_table(pop, prices), cfg.rho)
-        meta["wall_time_s"] = time.perf_counter() - start
-    elif args.method == "skc":
-        start = time.perf_counter()
-        base = kmeans_profiles(
-            pop, k=cfg.baseline_k(), prices=prices,
-            seed=cfg.seed, metric=cfg.metric,
-        )
-        meta["base_wall_time_s"] = time.perf_counter() - start
-        meta.update(_kmeans_facts(base))
-        start = time.perf_counter()  # refinement time only, base timed apart
-        tariff = skc(pop, prices, cfg.rho, base)
-        meta["wall_time_s"] = time.perf_counter() - start
-    else:
-        raise ConfigError(f"unknown method {args.method!r}")
+    with _stage(stages, "compute"):
+        prices = _prices_for(cfg, pop)
+        if args.method == "profile":
+            start = time.perf_counter()
+            tariff = kmeans_profiles(
+                pop, k=cfg.baseline_k(), prices=prices,
+                seed=cfg.seed, metric=cfg.metric,
+            )
+            meta["wall_time_s"] = time.perf_counter() - start
+            meta.update(_kmeans_facts(tariff))
+        elif args.method == "gkc":
+            start = time.perf_counter()
+            tariff = gkc(mci_table(pop, prices), cfg.rho)
+            meta["wall_time_s"] = time.perf_counter() - start
+        elif args.method == "skc":
+            start = time.perf_counter()
+            base = kmeans_profiles(
+                pop, k=cfg.baseline_k(), prices=prices,
+                seed=cfg.seed, metric=cfg.metric,
+            )
+            meta["base_wall_time_s"] = time.perf_counter() - start
+            meta.update(_kmeans_facts(base))
+            start = time.perf_counter()  # refinement time only, base timed apart
+            tariff = skc(pop, prices, cfg.rho, base)
+            meta["wall_time_s"] = time.perf_counter() - start
+        else:
+            raise ConfigError(f"unknown method {args.method!r}")
 
-    meta["n_clusters"] = tariff.k
-    if tariff.centers is None:
-        ok, worst = criterion_check(tariff)
-        meta["criterion_ok"] = bool(ok)
-        meta["criterion_worst_gap"] = worst
-    (out / f"clustering_{args.method}.json").write_text(
-        tariff.to_json() + "\n", encoding="utf-8")
-    _write_user_rates(out / f"rates_{args.method}.csv", tariff, cfg.hash())
-    _write_meta(out, f"cluster_{args.method}", cfg, **meta)
+        meta["n_clusters"] = tariff.k
+        if tariff.centers is None:
+            ok, worst = criterion_check(tariff)
+            meta["criterion_ok"] = bool(ok)
+            meta["criterion_worst_gap"] = worst
+    with _stage(stages, "write"):
+        (out / f"clustering_{args.method}.json").write_text(
+            tariff.to_json() + "\n", encoding="utf-8")
+        _write_user_rates(out / f"rates_{args.method}.csv", tariff, cfg.hash())
+    _write_meta(out, f"cluster_{args.method}", cfg, **meta,
+                nonpositive_prices=_nonpositive_prices(prices), stages=stages)
     return 0
 
 
 def cmd_vulnerability(args) -> int:
     cfg = _config_from_args(args)
     out = _out_dir(args)
-    pop, excluded = _load_population(args, cfg)
-    tariff = _load_clustering(args.clustering, cfg, pop)
+    stages: dict = {}
+    with _stage(stages, "load"):
+        pop, excluded = _load_population(args, cfg)
+        curve = _prices_for(cfg, pop)
+        tariff = _load_clustering(args.clustering, cfg, pop, curve)
     thetas = cfg.theta_grid()
     theta_ref = float(thetas[-1])
     bound = smoothness_bound(cfg.rho, theta_ref)
 
     # one effort matrix feeds every report; the reports are columns over
     # it, streamed to their files one chunk of users at a time
-    start = time.perf_counter()
-    efforts = effort_matrix(tariff, pop, strict=args.strict)
-    effort_s = time.perf_counter() - start
-    rows = theta_sweep(efforts, thetas)
-    reports = disguise_reports(efforts, theta_ref)
-    smooth = measure_smoothness(efforts, theta_ref, bound=bound)
+    with _stage(stages, "compute"):
+        start = time.perf_counter()
+        efforts = effort_matrix(tariff, pop, strict=args.strict)
+        effort_s = time.perf_counter() - start
+        rows = theta_sweep(efforts, thetas)
+        reports = disguise_reports(efforts, theta_ref)
+        smooth = measure_smoothness(efforts, theta_ref, bound=bound)
     n_pairs = efforts.efforts.size - len(efforts.user_ids)   # own column left out
     n_unreachable = int(np.isinf(efforts.efforts).sum()) - len(efforts.user_ids)
 
@@ -265,20 +299,22 @@ def cmd_vulnerability(args) -> int:
     table_rows = [
         (theta, pct, *counts.tolist()) for theta, pct, counts in rows
     ]
-    _write_table(out / "vulnerability_sweep.csv", header, table_rows, cfg.hash())
-    _write_json(out / "smoothness.json", {
-        "config_hash": cfg.hash(),
-        "theta": smooth.theta,
-        "delta_observed": smooth.delta_observed,
-        "band_bound": bound,
-        "n_reachable_pairs": len(smooth.pairs),
-        "n_violations": len(smooth.violations),
-        "worst_pairs": sorted(smooth.pairs, key=lambda p: -p[2])[:20],
-    })
-    write_reports_csv(reports, out / "disguise_reports.csv")
-    write_reports_json(reports, out / "disguise_reports.json")
+    with _stage(stages, "write"):
+        _write_table(out / "vulnerability_sweep.csv", header, table_rows, cfg.hash())
+        _write_json(out / "smoothness.json", {
+            "config_hash": cfg.hash(),
+            "theta": smooth.theta,
+            "delta_observed": smooth.delta_observed,
+            "band_bound": bound,
+            "n_reachable_pairs": len(smooth.pairs),
+            "n_violations": len(smooth.violations),
+            "worst_pairs": sorted(smooth.pairs, key=lambda p: -p[2])[:20],
+        })
+        write_reports_csv(reports, out / "disguise_reports.csv")
+        write_reports_json(reports, out / "disguise_reports.json")
     _write_meta(out, "vulnerability", cfg, n_users=pop.n_users,
-                **excluded, theta_ref=theta_ref, strict=args.strict,
+                **excluded, nonpositive_prices=_nonpositive_prices(curve),
+                stages=stages, theta_ref=theta_ref, strict=args.strict,
                 effort_s=effort_s, n_effort_pairs=n_pairs,
                 n_unreachable_pairs=n_unreachable,
                 n_degenerate_targets=degenerate_targets(tariff),
@@ -298,51 +334,68 @@ def _parse_grid(text: str | None, default) -> list:
 def cmd_sensitivity(args) -> int:
     cfg = _config_from_args(args)
     out = _out_dir(args)
-    pop, excluded = _load_population(args, cfg)
+    stages: dict = {}
+    with _stage(stages, "load"):
+        pop, excluded = _load_population(args, cfg)
     loads = SystemLoad(pop.consumption.sum(axis=0))
     rho_grid = _parse_grid(args.rho_grid, np.round(np.geomspace(0.05, 5.0, 20), 9))
     a_grid = _parse_grid(args.a_grid, [cfg.a / 2, cfg.a, cfg.a * 2])
     rows = []
-    for a in a_grid:
-        model = cfg.with_overrides(a=a).cost_model()
-        table = mci_table(pop, price_curve(model, loads))
-        for rho in rho_grid:
-            rows.append((rho, a, gkc(table, float(rho)).k))
-    _write_table(out / "sensitivity.csv", ["rho", "a", "kappa"], rows, cfg.hash())
+    nonpositive_a = []   # the grid's curvatures whose price curve has a price <= 0
+    with _stage(stages, "compute"):
+        nonpositive = _nonpositive_prices(_prices_for(cfg, pop))
+        for a in a_grid:
+            curve = price_curve(cfg.with_overrides(a=a).cost_model(), loads)
+            if _nonpositive_prices(curve):
+                nonpositive_a.append(a)
+            table = mci_table(pop, curve)
+            for rho in rho_grid:
+                rows.append((rho, a, gkc(table, float(rho)).k))
+    with _stage(stages, "write"):
+        _write_table(out / "sensitivity.csv", ["rho", "a", "kappa"], rows, cfg.hash())
     _write_meta(out, "sensitivity", cfg, n_users=pop.n_users,
-                **excluded, rho_points=len(rho_grid), a_points=len(a_grid))
+                **excluded, nonpositive_prices=nonpositive,
+                nonpositive_prices_a=nonpositive_a, stages=stages,
+                rho_points=len(rho_grid), a_points=len(a_grid))
     return 0
 
 
 def cmd_diversity(args) -> int:
     cfg = _config_from_args(args)
     out = _out_dir(args)
-    pop, excluded = _load_population(args, cfg)
-    tariff = _load_clustering(args.clustering, cfg, pop)
-    prices = _prices_for(cfg, pop)
-
-    sig = sigma(tariff, pop)
-    sizes = [len(tariff.member_ids(j)) for j in range(tariff.k)]
-    cluster_prices = (
-        tariff.prices if tariff.prices is not None else [float("nan")] * tariff.k
-    )
-    rows = [
-        (j, sizes[j], cluster_prices[j], sig[j]) for j in range(tariff.k)
-    ]
-    _write_table(out / "sigma.csv", ["cluster", "size", "price", "sigma"], rows, cfg.hash())
+    stages: dict = {}
+    with _stage(stages, "load"):
+        pop, excluded = _load_population(args, cfg)
+        prices = _prices_for(cfg, pop)
+        tariff = _load_clustering(args.clustering, cfg, pop, prices)
 
     drill = [int(v) for v in args.drill.split(",")] if args.drill else []
-    for j in drill:
-        if not 0 <= j < tariff.k:
-            raise ConfigError(f"--drill index {j} out of range (k={tariff.k})")
-        member_ids = tariff.member_ids(j)
-        sub = Population(member_ids, pop.consumption[pop.rows_of(member_ids)])
-        k_sub = min(args.drill_k, sub.n_users)
-        inner = kmeans_profiles(sub, k=k_sub, prices=prices, seed=cfg.seed)
-        (out / f"subclusters_{j}.json").write_text(
-            inner.to_json() + "\n", encoding="utf-8")
+    with _stage(stages, "compute"):
+        sig = sigma(tariff, pop)
+        sizes = [len(tariff.member_ids(j)) for j in range(tariff.k)]
+        cluster_prices = (
+            tariff.prices if tariff.prices is not None else [float("nan")] * tariff.k
+        )
+        rows = [
+            (j, sizes[j], cluster_prices[j], sig[j]) for j in range(tariff.k)
+        ]
+        inner = {}
+        for j in drill:
+            if not 0 <= j < tariff.k:
+                raise ConfigError(f"--drill index {j} out of range (k={tariff.k})")
+            member_ids = tariff.member_ids(j)
+            sub = Population(member_ids, pop.consumption[pop.rows_of(member_ids)])
+            k_sub = min(args.drill_k, sub.n_users)
+            inner[j] = kmeans_profiles(sub, k=k_sub, prices=prices, seed=cfg.seed)
+    with _stage(stages, "write"):
+        _write_table(out / "sigma.csv", ["cluster", "size", "price", "sigma"], rows,
+                     cfg.hash())
+        for j, sub_tariff in inner.items():
+            (out / f"subclusters_{j}.json").write_text(
+                sub_tariff.to_json() + "\n", encoding="utf-8")
     _write_meta(out, "diversity", cfg, n_users=pop.n_users,
-                **excluded, drilled=drill)
+                **excluded, nonpositive_prices=_nonpositive_prices(prices),
+                stages=stages, drilled=drill)
     return 0
 
 
@@ -351,11 +404,14 @@ def cmd_verify(args) -> int:
 
     cfg = _config_from_args(args)  # validates config; seed recorded in meta
     out = _out_dir(args)
-    results = run_all(out_dir=out, emit=print)
+    stages: dict = {}
+    with _stage(stages, "compute"):
+        results = run_all(out_dir=out, emit=print)
     rows = [(r.number, r.name, "pass" if r.passed else "fail") for r in results]
-    _write_table(out / "acceptance_report.csv",
-                 ["criterion", "name", "verdict"], rows, cfg.hash())
-    _write_meta(out, "verify", cfg, results=[
+    with _stage(stages, "write"):
+        _write_table(out / "acceptance_report.csv",
+                     ["criterion", "name", "verdict"], rows, cfg.hash())
+    _write_meta(out, "verify", cfg, stages=stages, results=[
         {"criterion": r.number, "passed": r.passed, "detail": r.detail,
          "elapsed_s": r.elapsed}
         for r in results

@@ -9,7 +9,9 @@ evening / night archetypes) and stands in for metered datasets.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import chain, compress, count, islice, repeat
+from pathlib import Path
 
 import numpy as np
 
@@ -155,22 +157,23 @@ class IngestResult:
     excluded_rows: list  # (row_number, reason)
 
 
-def _parse_chunk(cells: list) -> tuple[np.ndarray, np.ndarray]:
-    """Values of equal-length rows of cell strings, and each row's index
-    into `_EXCLUSION_REASONS` (-1 keeps the row).
+def _parse_chunk(cells: list, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values of rows of `horizon` cell strings, given row after row in one
+    list, and each row's index into `_EXCLUSION_REASONS` (-1 keeps the row).
 
     `np.array(..., dtype=float)` converts each string with `float()`, so it
     accepts exactly the spellings `float()` accepts.
     """
-    unparsed = np.zeros(len(cells), dtype=bool)
+    n_rows = len(cells) // horizon
+    unparsed = np.zeros(n_rows, dtype=bool)
     try:
-        values = np.array(cells, dtype=float)
+        values = np.array(cells, dtype=float).reshape(n_rows, horizon)
     except ValueError:
         # only now convert row by row, to find the rows holding a bad cell
-        values = np.zeros((len(cells), len(cells[0])))
-        for i, row in enumerate(cells):
+        values = np.zeros((n_rows, horizon))
+        for i in range(n_rows):
             try:
-                values[i] = np.array(row, dtype=float)
+                values[i] = np.array(cells[i * horizon:(i + 1) * horizon], dtype=float)
             except ValueError:
                 unparsed[i] = True
     with np.errstate(invalid="ignore", over="ignore"):   # inf - inf, overflow
@@ -184,6 +187,69 @@ def _parse_chunk(cells: list) -> tuple[np.ndarray, np.ndarray]:
     return values, np.where(failed.any(axis=0), failed.argmax(axis=0), -1)
 
 
+def _body_chunks(fh, path, horizon: int):
+    """The rows after the header, a chunk at a time: (number of the first
+    row, each row's stripped user id, the cells of all rows in one list,
+    None). A row of the wrong length or without an id ends the body: its
+    chunk holds the rows before it, and in place of None the error it raises.
+
+    Iterating `fh` (opened with newline="") ends a line at CR, LF or CRLF,
+    where csv ends a record outside quotes. So a chunk of lines with no quote
+    and `horizon` commas on every line is one row per line, and is split with
+    str.split. Any other chunk goes through csv.reader, which reads on past
+    the chunk's last line while a quoted field holds a line break.
+    """
+    chunk_rows = max(1, _CHUNK_CELLS // horizon)
+    first_row = 2
+    while lines := list(islice(fh, chunk_rows)):
+        # each line's terminator stays on its last cell, where float() skips it
+        text = ",".join(lines)
+        error = None
+        if '"' not in text and set(map(str.count, lines, repeat(","))) == {horizon}:
+            cells = text.split(",")
+            ids = [uid.strip() for uid in cells[::horizon + 1]]
+            del cells[::horizon + 1]
+            if not all(ids):
+                bad = ids.index("")
+                error = MalformedRow(first_row + bad, "missing user_id")
+                ids, cells = ids[:bad], cells[:bad * horizon]
+        else:
+            ids, cells = [], []
+            reader = csv.reader(chain(lines, fh))
+            for row in reader:
+                row_number = first_row + len(ids)
+                if len(row) != horizon + 1:
+                    error = InconsistentHorizon(
+                        f"{path} row {row_number}: {len(row) - 1} slots, header has {horizon}"
+                    )
+                    break
+                uid = row[0].strip()
+                if not uid:
+                    error = MalformedRow(row_number, "missing user_id")
+                    break
+                ids.append(uid)
+                cells.extend(row[1:])
+                if reader.line_num >= len(lines):
+                    break
+        yield first_row, ids, cells, error
+        if error is not None:
+            return
+        first_row += len(ids)
+
+
+def _undecodable(path) -> str:
+    """Where a file's first byte that is not UTF-8 lies, for an error message."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return (f"{path} line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 "
+                f"({exc.reason})")
+    return f"{path}: not UTF-8"
+
+
 def ingest_csv(path) -> IngestResult:
     """Read profiles from a CSV with header ``user_id,t0,...,t{T-1}``.
 
@@ -191,59 +257,60 @@ def ingest_csv(path) -> IngestResult:
     with zero total consumption, are dropped and counted. A row whose field
     count disagrees with the header raises InconsistentHorizon; a missing
     or duplicate user id raises MalformedRow. Rows are judged in order, so
-    the first bad row in the file decides the error.
+    the first bad row in the file decides the error. A byte that is not
+    UTF-8 raises ValueError naming its line, once reading reaches it.
+
+    The body is read in chunks of about `_CHUNK_CELLS` cells. A chunk whose
+    lines hold no quote and exactly one field per header column is split on
+    its commas; any other (a quoted field, a blank or ragged line) is read
+    with csv.reader. Either way the chunk's cells are converted by one numpy
+    call, and its ids are checked at once unless one repeats.
     """
     user_ids: list[str] = []
     blocks: list[np.ndarray] = []
     seen: set[str] = set()   # ids of kept rows only
     excluded: list[tuple[int, str]] = []
 
-    def judge(rows):
-        """Keep or exclude each (row_number, user_id, cells) of a chunk."""
-        if not rows:
+    def judge(first_row, ids, cells):
+        """Keep or exclude each row of a chunk."""
+        if not ids:
             return
-        values, reasons = _parse_chunk([cells for _, _, cells in rows])
-        for (row_number, uid, _), reason in zip(rows, reasons.tolist()):
-            if uid in seen:
-                raise MalformedRow(row_number, f"duplicate user_id {uid!r}")
-            if reason >= 0:
-                excluded.append((row_number, _EXCLUSION_REASONS[reason]))
-            else:
-                seen.add(uid)
-                user_ids.append(uid)
-        blocks.append(values[reasons < 0])
+        values, reasons = _parse_chunk(cells, horizon)
+        keep = reasons < 0
+        if len(set(ids)) < len(ids) or not seen.isdisjoint(ids):
+            # an id repeats: walk the rows, so the first row that repeats
+            # the id of a kept row raises
+            for row_number, uid, kept in zip(count(first_row), ids, keep.tolist()):
+                if uid in seen:
+                    raise MalformedRow(row_number, f"duplicate user_id {uid!r}")
+                if kept:
+                    seen.add(uid)
+        kept_ids = list(compress(ids, keep.tolist()))
+        seen.update(kept_ids)
+        user_ids.extend(kept_ids)
+        excluded.extend((first_row + i, _EXCLUSION_REASONS[reasons[i]])
+                        for i in np.flatnonzero(~keep).tolist())
+        blocks.append(values[keep])
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InconsistentHorizon(f"{path}: empty file, no header") from None
-        if len(header) < 2 or header[0] != "user_id":
-            raise InconsistentHorizon(
-                f"{path}: header must be user_id,t0,...  got {header[:3]}..."
-            )
-        horizon = len(header) - 1
-        chunk_rows = max(1, _CHUNK_CELLS // horizon)
-
-        pending: list[tuple[int, str, list]] = []
-        try:
-            for row_number, row in enumerate(reader, start=2):
-                if len(row) != horizon + 1:
-                    raise InconsistentHorizon(
-                        f"{path} row {row_number}: {len(row) - 1} slots, header has {horizon}"
-                    )
-                uid = row[0].strip()
-                if not uid:
-                    raise MalformedRow(row_number, "missing user_id")
-                pending.append((row_number, uid, row[1:]))
-                if len(pending) == chunk_rows:
-                    rows, pending = pending, []
-                    judge(rows)
-        finally:
-            # the rows before a failing row are judged before its error
-            # propagates, so a duplicate id among them still raises first
-            judge(pending)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise InconsistentHorizon(f"{path}: empty file, no header") from None
+            if len(header) < 2 or header[0] != "user_id":
+                raise InconsistentHorizon(
+                    f"{path}: header must be user_id,t0,...  got {header[:3]}..."
+                )
+            horizon = len(header) - 1
+            for first_row, ids, cells, error in _body_chunks(fh, path, horizon):
+                # the rows before a failing row are judged before its error
+                # propagates, so a duplicate id among them still raises first
+                judge(first_row, ids, cells)
+                if error is not None:
+                    raise error
+    except UnicodeDecodeError:
+        raise ValueError(_undecodable(path)) from None
 
     if not user_ids:
         raise EmptyPopulation(f"{path}: no usable rows")

@@ -6,7 +6,7 @@ import pytest
 
 from gridrates import __version__, acceptance, cli, vulnerability
 from gridrates.config import RunConfig
-from gridrates.errors import ConfigError
+from gridrates.errors import ConfigError, PriceWarning
 
 
 @pytest.fixture()
@@ -338,6 +338,50 @@ def test_every_sidecar_records_peak_memory_and_versions(tmp_path, small_config, 
         assert 1.0 < meta["peak_rss_mb"] < 1e5, path.name
         assert meta["versions"] == {"gridrates": __version__, "numpy": np.__version__,
                                     "python": platform.python_version()}, path.name
+        # stage times; the commands with a price curve say it has no price <= 0
+        if path.name in ("meta_datagen.json", "meta_verify.json"):
+            assert sorted(meta["stages"]) == ["compute", "write"], path.name
+            assert "nonpositive_prices" not in meta, path.name
+        else:
+            assert sorted(meta["stages"]) == ["compute", "load", "write"], path.name
+            assert meta["nonpositive_prices"] is None, path.name
+        assert all(0.0 <= s < 60.0 for s in meta["stages"].values()), path.name
+
+
+def test_sidecars_record_nonpositive_prices(tmp_path):
+    # slots 0-11 carry 40 * ~1000 = ~4e4 load, priced 0.00012 * 4e4 - 37.38 < 0
+    # at the default cost model; slots 12-23 carry 8e5 and are priced > 0
+    corpus = tmp_path / "corpus.csv"
+    rows = [f"u{i}," + ",".join([str(1000 + i)] * 12 + [str(20000 - i)] * 12)
+            for i in range(40)]
+    corpus.write_text("user_id," + ",".join(f"t{t}" for t in range(24)) + "\n"
+                      + "\n".join(rows) + "\n")
+    tariff = tmp_path / "clustering_gkc.json"
+    with pytest.warns(PriceWarning):
+        for argv in (("price",), ("cluster", "--method", "gkc"),
+                     ("vulnerability", "--clustering", tariff),
+                     ("diversity", "--clustering", tariff),
+                     ("sensitivity", "--rho-grid", "0.5", "--a-grid", "0.00012,0.001")):
+            assert _run(argv[0], "--corpus", corpus, "--out", tmp_path, *argv[1:]) == 0
+    loads = np.array([sum(1000 + i for i in range(40))] * 12)
+    low = float((0.00012 * loads - 37.38).min())
+    for name in ("price", "cluster_gkc", "vulnerability", "diversity", "sensitivity"):
+        meta = json.loads((tmp_path / f"meta_{name}.json").read_text())
+        assert meta["nonpositive_prices"] == {"n": 12, "min": pytest.approx(low)}, name
+    meta = json.loads((tmp_path / "meta_sensitivity.json").read_text())
+    assert meta["nonpositive_prices_a"] == [0.00012]   # a = 0.001 prices every slot > 0
+
+
+def test_non_utf8_corpus_names_file_and_line(tmp_path, capsys):
+    corpus = tmp_path / "latin1.csv"
+    rows = [f"u{i}," + ",".join(["1000"] * 24) for i in range(40)]
+    rows[30] = "caf\xe9," + ",".join(["1000"] * 24)
+    corpus.write_bytes("\r\n".join(["user_id," + ",".join(f"t{t}" for t in range(24))]
+                                    + rows).encode("latin-1"))
+    assert _run("price", "--corpus", corpus, "--out", tmp_path) == 1
+    assert capsys.readouterr().err == (
+        f"gridrates: validation error: {corpus} line 32: byte 0xe9 is not UTF-8 "
+        "(invalid continuation byte)\n")
 
 
 def test_missing_corpus_is_runtime_error(tmp_path, small_config):

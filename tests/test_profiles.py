@@ -273,6 +273,85 @@ def test_ingest_matches_row_by_row_reference(tmp_path, monkeypatch, chunk_cells)
     assert kinds == {"ok", InconsistentHorizon, MalformedRow, EmptyPopulation}
 
 
+# cells and ids csv keeps whole that a line splitter could break: form
+# feed, the line and paragraph separators, NEL, NUL, a stray quote
+_ODD_CELLS = ["1\x0c", "\u20282", "3\u2029", "\x854", "1\x00", '1"2', '"5"']
+_ODD_IDS = ['"two\nlines"', '"cr\rin id"', '"q, ""x"""', 'a"b', "\x0cc", "d\x00"]
+_LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+def _random_raw_csv(rng, path):
+    """A CSV written line by line, with the lines `_random_csv` never makes:
+    CR-only and mixed line ends, blank lines, quoted ids holding a line
+    break, stray quotes, odd whitespace and NUL in cells, no final line end,
+    and a line with one comma too many beside one with one too few."""
+    horizon = int(rng.integers(1, 5))
+    lines = ["user_id," + ",".join(f"t{t}" for t in range(horizon))]
+    for i in range(int(rng.integers(0, 30))):
+        if rng.random() < 0.02:
+            lines.append("")                     # blank line
+            continue
+        roll = rng.random()
+        uid = (_ODD_IDS[rng.integers(len(_ODD_IDS))] if roll < 0.1 else
+               _IDS[rng.integers(len(_IDS))] if roll < 0.25 else f"u{i}")
+        cells = [_GOOD_CELLS[rng.integers(len(_GOOD_CELLS))] if rng.random() < 0.9
+                 else _ODD_CELLS[rng.integers(len(_ODD_CELLS))] for _ in range(horizon)]
+        lines.append(",".join([uid] + cells))
+    if len(lines) > 2 and rng.random() < 0.2:
+        # neighbours, so that often one chunk holds both and its comma count
+        # is right in total
+        i = int(rng.integers(1, len(lines) - 1))
+        lines[i] += ",1"
+        lines[i + 1] = lines[i + 1].rpartition(",")[0]
+    mixed = rng.random() < 0.5
+    end = _LINE_ENDS[rng.integers(len(_LINE_ENDS))]
+    ends = [_LINE_ENDS[rng.integers(len(_LINE_ENDS))] if mixed else end for _ in lines]
+    if rng.random() < 0.3:
+        ends[-1] = ""                            # no final line end
+    path.write_bytes("".join(line + end for line, end in zip(lines, ends)).encode("utf-8"))
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 7, 6144])
+def test_ingest_matches_reference_on_raw_lines(tmp_path, monkeypatch, chunk_cells):
+    monkeypatch.setattr(profiles, "_CHUNK_CELLS", chunk_cells)
+    rng = np.random.default_rng(30_000 + chunk_cells)
+    kinds = set()
+    for case in range(300):
+        path = tmp_path / f"case{case}.csv"
+        _random_raw_csv(rng, path)
+        with np.errstate(all="ignore"):
+            expected = _outcome(_reference_ingest_csv, path)
+        assert _outcome(ingest_csv, path) == expected, path.read_bytes()
+        kinds.add(expected[0] if isinstance(expected[0], type) else "ok")
+    assert kinds == {"ok", InconsistentHorizon, MalformedRow, EmptyPopulation}
+
+
+def test_clean_corpus_reads_only_its_header_with_csv(tmp_path, monkeypatch):
+    pop = generate_corpus(residential_spec(n_users=600, seed=4))
+    path = tmp_path / "corpus.csv"
+    write_csv(pop, path)
+    readers = []
+
+    def counting_reader(lines, *args, **kwargs):
+        readers.append(real_reader(lines, *args, **kwargs))
+        return readers[-1]
+
+    real_reader = profiles.csv.reader
+    monkeypatch.setattr(profiles.csv, "reader", counting_reader)
+    assert ingest_csv(path).population.user_ids == pop.user_ids
+    # one reader, and it read one line: the header. The body's chunks were
+    # all split on their commas
+    assert [reader.line_num for reader in readers] == [1]
+
+    # a quoted id sends its chunk of 256 rows, and only that chunk, to csv
+    ids = list(pop.user_ids)
+    ids[100] = "Smith, J"
+    write_csv(Population(ids, pop.consumption), path)
+    readers.clear()
+    assert ingest_csv(path).population.user_ids == ids
+    assert [reader.line_num for reader in readers] == [1, 256]
+
+
 def test_ingest_across_chunk_boundaries(tmp_path, monkeypatch):
     monkeypatch.setattr(profiles, "_CHUNK_CELLS", 8)   # 4 rows of 2 slots
     path = tmp_path / "pop.csv"
