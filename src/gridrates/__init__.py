@@ -39,7 +39,6 @@ from .profiles import (
     commercial_spec,
     generate_corpus,
     ingest_csv,
-    mean_pairwise_l1,
     normalize,
     normalize_matrix,
     residential_spec,

@@ -215,10 +215,12 @@ def _write_user_rates(path, tariff: Tariff, cfg_hash) -> None:
 
 
 def _kmeans_facts(tariff: Tariff) -> dict:
-    """Whether the tariff's k-means run converged, for the meta sidecar."""
+    """Whether the tariff's k-means run converged, and how many empty
+    clusters it reseeded, for the meta sidecar."""
     return {"n_iter": tariff.n_iter,
             "label_fixpoint": bool(tariff.label_fixpoint),
-            "inertia": tariff.inertia}
+            "inertia": tariff.inertia,
+            "empty_cluster_repairs": tariff.empty_cluster_repairs}
 
 
 def cmd_cluster(args) -> int:
@@ -254,6 +256,7 @@ def cmd_cluster(args) -> int:
             start = time.perf_counter()  # refinement time only, base timed apart
             tariff = skc(pop, prices, cfg.rho, base)
             meta["wall_time_s"] = time.perf_counter() - start
+            meta["skc_max_depth"] = tariff.split_depth
         else:
             raise ConfigError(f"unknown method {args.method!r}")
 
@@ -311,12 +314,12 @@ def cmd_vulnerability(args) -> int:
             "worst_pairs": sorted(smooth.pairs, key=lambda p: -p[2])[:20],
         })
         write_reports_csv(reports, out / "disguise_reports.csv")
-        write_reports_json(reports, out / "disguise_reports.json")
+        n_reported = write_reports_json(reports, out / "disguise_reports.json")
     _write_meta(out, "vulnerability", cfg, n_users=pop.n_users,
                 **excluded, nonpositive_prices=_nonpositive_prices(curve),
                 stages=stages, theta_ref=theta_ref, strict=args.strict,
                 effort_s=effort_s, n_effort_pairs=n_pairs,
-                n_unreachable_pairs=n_unreachable,
+                n_unreachable_pairs=n_unreachable, n_reported_efforts=n_reported,
                 n_degenerate_targets=degenerate_targets(tariff),
                 n_reachable_pairs=len(smooth.pairs))
     return 0

@@ -103,6 +103,7 @@ def kmeans_profiles(
     converged = False
     fixpoint = False
     n_iter = 0
+    repairs = 0
     for n_iter in range(1, max_iters + 1):
         dist = _distances(points, centers, metric)
         new_labels = dist.argmin(axis=1)
@@ -110,6 +111,7 @@ def kmeans_profiles(
         repaired = bool(empty)
         if repaired:
             new_labels, centers = _repair_empty(new_labels, dist, centers, points, empty)
+            repairs += len(empty)
         trace.append(float(((points - centers[new_labels]) ** 2).sum()))
         stable = labels is not None and not repaired and np.array_equal(new_labels, labels)
         labels = new_labels
@@ -136,6 +138,7 @@ def kmeans_profiles(
         inertia=inertia,
         label_fixpoint=fixpoint,
         objective_trace=trace,
+        empty_cluster_repairs=repairs,
     )
 
 

@@ -219,9 +219,8 @@ def _body_chunks(fh, path, horizon: int):
             for row in reader:
                 row_number = first_row + len(ids)
                 if len(row) != horizon + 1:
-                    error = InconsistentHorizon(
-                        f"{path} row {row_number}: {len(row) - 1} slots, header has {horizon}"
-                    )
+                    problem = f"{len(row) - 1} slots, header has {horizon}" if row else "blank line"
+                    error = InconsistentHorizon(f"{path} row {row_number}: {problem}")
                     break
                 uid = row[0].strip()
                 if not uid:
@@ -442,21 +441,3 @@ def generate_corpus(spec: CorpusSpec) -> Population:
     width = max(4, len(str(spec.n_users)))
     user_ids = [f"{spec.id_prefix}{i:0{width}d}" for i in range(spec.n_users)]
     return Population(user_ids, consumption)
-
-
-def mean_pairwise_l1(weights: np.ndarray, max_pairs: int = 200_000, seed: int = 0) -> float:
-    """Mean l1 distance between normalized profiles, subsampling large corpora."""
-    weights = np.asarray(weights, dtype=float)
-    n = weights.shape[0]
-    if n < 2:
-        return 0.0
-    n_pairs = n * (n - 1) // 2
-    if n_pairs <= max_pairs:
-        idx_a, idx_b = np.triu_indices(n, k=1)
-    else:
-        rng = np.random.default_rng(seed)
-        idx_a = rng.integers(0, n, size=max_pairs)
-        idx_b = rng.integers(0, n, size=max_pairs)
-        keep = idx_a != idx_b
-        idx_a, idx_b = idx_a[keep], idx_b[keep]
-    return float(np.abs(weights[idx_a] - weights[idx_b]).sum(axis=1).mean())

@@ -93,24 +93,30 @@ def gkc(table: MciTable, rho: float) -> Tariff:
 
 
 def _bisect_ranges(mcis: np.ndarray, idx: np.ndarray, rho: float, depth: int = 0):
-    """Recursively split an index set until its rate range fits within 2*rho."""
+    """Recursively split an index set until its rate range fits within 2*rho.
+
+    Returns the pieces and the most splits any of them went through, counting
+    the `depth` splits that made `idx`.
+    """
     if depth > SKC_MAX_DEPTH:
         raise RecursionDepthExceeded(f"bisection deeper than {SKC_MAX_DEPTH}")
     values = mcis[idx]
     m, big_m = values.min(), values.max()
     if big_m - m < 2.0 * rho:
-        return [idx]
+        return [idx], depth
     # nearer endpoint wins; ties go with the minimum side
     to_low = np.abs(values - m) <= np.abs(values - big_m)
     low, high = idx[to_low], idx[~to_low]
-    pieces = []
+    pieces, deepest = [], depth + 1
     for half in (low, high):
         r = mcis[half]
         if r.max() - r.min() > 2.0 * rho:
-            pieces.extend(_bisect_ranges(mcis, half, rho, depth + 1))
+            sub, sub_depth = _bisect_ranges(mcis, half, rho, depth + 1)
+            pieces.extend(sub)
+            deepest = max(deepest, sub_depth)
         else:
             pieces.append(half)
-    return pieces
+    return pieces, deepest
 
 
 def skc(
@@ -130,9 +136,11 @@ def skc(
     mcis_all = mci_matrix(prices, pop.consumption)
     base_rows = pop.rows_of(base_clustering.user_ids)
 
-    pieces = []
+    pieces, depth = [], 0
     for j in range(base_clustering.k):
-        pieces.extend(_bisect_ranges(mcis_all, base_rows[base_clustering.members(j)], rho))
+        sub, sub_depth = _bisect_ranges(mcis_all, base_rows[base_clustering.members(j)], rho)
+        pieces.extend(sub)
+        depth = max(depth, sub_depth)
 
     labels = np.empty(pop.n_users, dtype=int)
     out_prices = np.empty(len(pieces))
@@ -147,6 +155,7 @@ def skc(
         method="skc",
         rates=mcis_all,
         rho=float(rho),
+        split_depth=depth,
     )
 
 

@@ -41,9 +41,11 @@ class Tariff:
     inertia: float = 0.0
     label_fixpoint: bool = False         # stopped with labels == argmin(centers)
     objective_trace: list | None = None  # objective after each assignment step
+    empty_cluster_repairs: int = 0       # empty clusters reseeded on a far point
     # rate-band tariffs
     rates: np.ndarray | None = None      # (N,) each user's rate
     rho: float | None = None             # band tolerance
+    split_depth: int = 0                 # skc: most bisections any band went through
 
     def __post_init__(self):
         self.user_ids = np.asarray(self.user_ids, dtype=str)

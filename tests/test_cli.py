@@ -7,6 +7,9 @@ import pytest
 from gridrates import __version__, acceptance, cli, vulnerability
 from gridrates.config import RunConfig
 from gridrates.errors import ConfigError, PriceWarning
+from gridrates.profiles import ingest_csv
+from gridrates.robust import SKC_MAX_DEPTH
+from gridrates.tariff import Tariff
 
 
 @pytest.fixture()
@@ -348,6 +351,35 @@ def test_every_sidecar_records_peak_memory_and_versions(tmp_path, small_config, 
         assert all(0.0 <= s < 60.0 for s in meta["stages"].values()), path.name
 
 
+def test_sidecars_record_dropped_efforts_and_clustering_work(tmp_path, small_config):
+    corpus = tmp_path / "corpus.csv"
+    tariff = tmp_path / "clustering_profile.json"
+    for argv in (("datagen",), ("cluster", "--corpus", corpus, "--method", "profile"),
+                 ("cluster", "--corpus", corpus, "--method", "skc"),
+                 ("vulnerability", "--corpus", corpus, "--clustering", tariff)):
+        assert _run(argv[0], "--config", small_config, "--out", tmp_path, *argv[1:]) == 0
+    meta = {name: json.loads((tmp_path / f"meta_{name}.json").read_text())
+            for name in ("cluster_profile", "cluster_skc", "vulnerability")}
+
+    # the reported efforts are those <= theta; the finite ones above it are dropped
+    audit = meta["vulnerability"]
+    efforts = vulnerability.effort_matrix(Tariff.from_json(tariff.read_text()),
+                                          ingest_csv(corpus).population).efforts
+    docs = json.loads((tmp_path / "disguise_reports.json").read_text())
+    assert audit["n_reported_efforts"] == sum(len(doc["mu_per_target"]) for doc in docs)
+    assert audit["n_reported_efforts"] == (efforts <= audit["theta_ref"]).sum() > 0
+    dropped = audit["n_effort_pairs"] - audit["n_unreachable_pairs"] - audit["n_reported_efforts"]
+    assert dropped == (np.isfinite(efforts) & (efforts > audit["theta_ref"])).sum() > 0
+
+    for name in ("cluster_profile", "cluster_skc"):
+        repairs = meta[name]["empty_cluster_repairs"]
+        assert isinstance(repairs, int) and repairs >= 0, name
+    # skc split some of the 8 base clusters, none past the depth guard
+    assert meta["cluster_skc"]["n_clusters"] > 8
+    assert 1 <= meta["cluster_skc"]["skc_max_depth"] <= SKC_MAX_DEPTH + 1
+    assert "skc_max_depth" not in meta["cluster_profile"]
+
+
 def test_sidecars_record_nonpositive_prices(tmp_path):
     # slots 0-11 carry 40 * ~1000 = ~4e4 load, priced 0.00012 * 4e4 - 37.38 < 0
     # at the default cost model; slots 12-23 carry 8e5 and are priced > 0
@@ -382,6 +414,13 @@ def test_non_utf8_corpus_names_file_and_line(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"gridrates: validation error: {corpus} line 32: byte 0xe9 is not UTF-8 "
         "(invalid continuation byte)\n")
+
+
+def test_blank_corpus_line_names_its_row(tmp_path, capsys):
+    corpus = tmp_path / "blank.csv"
+    corpus.write_text("user_id,t0,t1\na,1,2\n\nb,3,4\n")
+    assert _run("price", "--corpus", corpus, "--out", tmp_path) == 1
+    assert capsys.readouterr().err == f"gridrates: validation error: {corpus} row 3: blank line\n"
 
 
 def test_missing_corpus_is_runtime_error(tmp_path, small_config):

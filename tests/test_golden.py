@@ -34,7 +34,7 @@ GOLDEN = {
     "base/disguise_reports.csv":
         "bcee36385fef6f56cc318c47256383ae02357815ed4809df82503a756db49065",
     "base/disguise_reports.json":
-        "41f96cda10dfe8dd2b2878a4f733b8e73d0640686f302bb93395505b796a1c86",
+        "63d703ebd90411ecb219828fdc58ab2a1ae16a10c57cdcd7f842278a2d112bdf",
     "base/price.csv":
         "dc454982b79fa5b7153bf4689dd42cc4aa8a43c9719bf191d031b32ee031caae",
     "base/rates_gkc.csv":
@@ -56,7 +56,7 @@ GOLDEN = {
     "gkc/disguise_reports.csv":
         "cf5a1453ba4b64cad90a43b4e9fd48919754ad89ab81ef515e904e73ad24cabd",
     "gkc/disguise_reports.json":
-        "2affbc571edcbff502247879937946cb01b29cac330cacec1ca0e37a38db5171",
+        "e8218b7e153ee577c67047f76972001062cfe0f260f91670c741ae54617b61a5",
     "gkc/smoothness.json":
         "5268d0eb796ee8370770a579ba2850a0f3206d8348f391dfb4dc154e29b10f77",
     "gkc/vulnerability_sweep.csv":
@@ -64,7 +64,7 @@ GOLDEN = {
     "strict/disguise_reports.csv":
         "cd74f0957edf707f788f15d80b3ad0dc4c617e0ee2ef65fe5c9e9c290edab094",
     "strict/disguise_reports.json":
-        "8a1cf2ad809b350bea6925900046f187a9e296a80b9efbc14e5f936832adc349",
+        "d2640cd142f311fd793f47d6f340149bde083e5d6e4b4d9d3fcec65871211813",
     "strict/smoothness.json":
         "ff3655fea7674eadbcbaac0bb93a2a961d3f08120d5f48c0deb984e2e5d6efe0",
     "strict/vulnerability_sweep.csv":
@@ -72,7 +72,7 @@ GOLDEN = {
     "skc/disguise_reports.csv":
         "81718a39407abbde915a54f3d7aa7edd75e28ac00c2c0a6e2dff4803215efe44",
     "skc/disguise_reports.json":
-        "4183d953651dbef86f488f8f95cf664beeef7fa3e1cf9d015bfe7e2d642a958f",
+        "6804cbb3800c9524f8e8f9c254f9e34c886b105cd2f9b00bb5af98acce82ba2a",
     "skc/smoothness.json":
         "a291b015981681913b99050da722e3fdcad634f3d432d75c2fcc8cf91135b2ee",
     "skc/vulnerability_sweep.csv":

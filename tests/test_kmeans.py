@@ -112,6 +112,7 @@ def test_duplicate_points_keep_k_clusters_nonempty():
     out = kmeans_profiles(pop, k=3, seed=0)
     counts = np.bincount(out.labels, minlength=3)
     assert np.all(counts > 0)
+    assert out.empty_cluster_repairs >= 1
 
 
 def test_sigma_zero_when_members_equal_center():

@@ -17,7 +17,6 @@ from gridrates import (
     commercial_spec,
     generate_corpus,
     ingest_csv,
-    mean_pairwise_l1,
     normalize,
     residential_spec,
     write_csv,
@@ -186,6 +185,8 @@ def _reference_ingest_csv(path) -> IngestResult:
         seen: set[str] = set()
         excluded: list[tuple[int, str]] = []
         for row_number, row in enumerate(reader, start=2):
+            if not row:
+                raise InconsistentHorizon(f"{path} row {row_number}: blank line")
             if len(row) != horizon + 1:
                 raise InconsistentHorizon(
                     f"{path} row {row_number}: {len(row) - 1} slots, header has {horizon}"
@@ -477,11 +478,17 @@ def test_generate_corpus_nonnegative_and_usable():
         assert pop.horizon == 24
 
 
+def _mean_pairwise_l1(weights: np.ndarray) -> float:
+    """Mean l1 distance over every pair of normalized profiles."""
+    idx_a, idx_b = np.triu_indices(len(weights), k=1)
+    return float(np.abs(weights[idx_a] - weights[idx_b]).sum(axis=1).mean())
+
+
 def test_residential_more_heterogeneous_than_commercial():
     res = generate_corpus(residential_spec(400, seed=9))
     com = generate_corpus(commercial_spec(400, seed=9))
-    res_spread = mean_pairwise_l1(res.normalized())
-    com_spread = mean_pairwise_l1(com.normalized())
+    res_spread = _mean_pairwise_l1(res.normalized())
+    com_spread = _mean_pairwise_l1(com.normalized())
     assert res_spread > com_spread
 
 

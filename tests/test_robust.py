@@ -234,6 +234,19 @@ def test_skc_recursion_depth_guard():
         _bisect_ranges(mcis, np.array([0, 1]), rho=1.0, depth=65)
 
 
+@pytest.mark.parametrize("mcis, depth", [
+    ([0.0, 1.0], 0),          # fits 2*rho: no split
+    ([0.0, 1.0, 10.0], 1),    # one split; both halves fit
+    ([0.0, 3.0, 10.0], 2),    # the low half {0, 3} is split again
+])
+def test_skc_bisection_reports_its_depth(mcis, depth):
+    from gridrates.robust import _bisect_ranges
+
+    pieces, deepest = _bisect_ranges(np.array(mcis), np.arange(len(mcis)), rho=1.0)
+    assert deepest == depth
+    assert sorted(np.concatenate(pieces).tolist()) == list(range(len(mcis)))
+
+
 def test_skc_count_at_least_gkc_count():
     pop, prices = _pipeline(n=500, seed=10)
     base = kmeans_profiles(pop, k=8, prices=prices, seed=1)
