@@ -139,14 +139,16 @@ def _out_dir(args) -> Path:
 
 
 def _load_population(args, cfg: RunConfig):
-    """The corpus, and the rows its ingest dropped, as meta sidecar fields."""
+    """The corpus, and as meta sidecar fields the rows its ingest dropped and
+    the rows it read with csv.reader, the slow path."""
     if getattr(args, "corpus", None):
         result = ingest_csv(args.corpus)
-        pop, dropped = result.population, result.excluded_rows
+        pop, dropped, csv_rows = result.population, result.excluded_rows, result.csv_rows
     else:
-        pop, dropped = generate_corpus(cfg.corpus_spec()), []
+        pop, dropped, csv_rows = generate_corpus(cfg.corpus_spec()), [], 0
     by_reason = Counter(reason for _, reason in dropped)
-    return pop, {"n_excluded": len(dropped), "excluded_by_reason": dict(by_reason)}
+    return pop, {"n_excluded": len(dropped), "excluded_by_reason": dict(by_reason),
+                 "csv_rows": csv_rows}
 
 
 def _prices_for(cfg: RunConfig, pop: Population):

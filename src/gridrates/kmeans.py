@@ -113,7 +113,8 @@ def kmeans_profiles(
             new_labels, centers = _repair_empty(new_labels, dist, centers, points, empty)
             repairs += len(empty)
         trace.append(float(((points - centers[new_labels]) ** 2).sum()))
-        stable = labels is not None and not repaired and np.array_equal(new_labels, labels)
+        same = labels is not None and np.array_equal(new_labels, labels)
+        stable = same and not repaired
         labels = new_labels
         # at a label fixpoint the entering centers are exactly the member
         # means of the (unchanged) labels, so centers and labels agree
@@ -123,6 +124,10 @@ def kmeans_profiles(
         new_centers = np.vstack([points[labels == j].mean(axis=0) for j in range(k)])
         converged = np.abs(new_centers - centers).max() < CENTER_TOL
         centers = new_centers
+        if repaired and same:
+            # the entering centers were the member means of these labels too,
+            # so every later iteration would repeat this repair
+            break
     else:
         centers = np.vstack([points[labels == j].mean(axis=0) for j in range(k)])
     inertia = float(((points - centers[labels]) ** 2).sum())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, islice
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +97,14 @@ class Population:
         self.user_ids = user_ids
         self.consumption = consumption
 
+    @classmethod
+    def _checked(cls, user_ids: list, consumption: np.ndarray) -> "Population":
+        """A population from a list of unique ids and an (N, T) float matrix
+        of non-negative rows, which the caller has already checked."""
+        pop = cls.__new__(cls)
+        pop.user_ids, pop.consumption = user_ids, consumption
+        return pop
+
     @property
     def n_users(self) -> int:
         return self.consumption.shape[0]
@@ -134,9 +142,15 @@ def aggregate(pop: Population) -> SystemLoad:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-# cells converted per bulk parse (256 rows at T=24): bounds the cell strings
-# held at once, and the interpreter memory they leave behind once freed
+# cells read per chunk of the body (256 rows at T=24): bounds the lines, and
+# on the csv.reader path the cell strings, held at once. np.loadtxt's fixed
+# cost of ~10 us a call is ~2% of a 256-row call
 _CHUNK_CELLS = 6144
+
+# a chunk holding any of these is read with csv.reader: a quote, and the four
+# separators np.loadtxt strips around a number as whitespace but float() does
+# not accept
+_CSV_ONLY = '"\x1c\x1d\x1e\x1f'
 
 # why a row is dropped, in the order each row is tested
 _EXCLUSION_REASONS = (
@@ -155,27 +169,33 @@ class IngestResult:
     population: Population
     n_excluded: int
     excluded_rows: list  # (row_number, reason)
+    csv_rows: int = 0    # body rows read by csv.reader, not np.loadtxt
 
 
-def _parse_chunk(cells: list, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values of rows of `horizon` cell strings, given row after row in one
-    list, and each row's index into `_EXCLUSION_REASONS` (-1 keeps the row).
+def _parse_chunk(cells, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values of a chunk's rows, and each row's index into
+    `_EXCLUSION_REASONS` (-1 keeps the row).
 
-    `np.array(..., dtype=float)` converts each string with `float()`, so it
-    accepts exactly the spellings `float()` accepts.
+    `cells` is the (rows, horizon) array np.loadtxt read, or the cell strings
+    csv.reader read, row after row in one list. `np.array(..., dtype=float)`
+    converts those with `float()`, so it accepts exactly the spellings
+    `float()` accepts.
     """
-    n_rows = len(cells) // horizon
-    unparsed = np.zeros(n_rows, dtype=bool)
-    try:
-        values = np.array(cells, dtype=float).reshape(n_rows, horizon)
-    except ValueError:
-        # only now convert row by row, to find the rows holding a bad cell
-        values = np.zeros((n_rows, horizon))
-        for i in range(n_rows):
-            try:
-                values[i] = np.array(cells[i * horizon:(i + 1) * horizon], dtype=float)
-            except ValueError:
-                unparsed[i] = True
+    if isinstance(cells, np.ndarray):
+        values, unparsed = cells, np.zeros(len(cells), dtype=bool)
+    else:
+        n_rows = len(cells) // horizon
+        unparsed = np.zeros(n_rows, dtype=bool)
+        try:
+            values = np.array(cells, dtype=float).reshape(n_rows, horizon)
+        except ValueError:
+            # only now convert row by row, to find the rows holding a bad cell
+            values = np.zeros((n_rows, horizon))
+            for i in range(n_rows):
+                try:
+                    values[i] = np.array(cells[i * horizon:(i + 1) * horizon], dtype=float)
+                except ValueError:
+                    unparsed[i] = True
     with np.errstate(invalid="ignore", over="ignore"):   # inf - inf, overflow
         failed = np.vstack([
             unparsed,
@@ -189,30 +209,43 @@ def _parse_chunk(cells: list, horizon: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _body_chunks(fh, path, horizon: int):
     """The rows after the header, a chunk at a time: (number of the first
-    row, each row's stripped user id, the cells of all rows in one list,
-    None). A row of the wrong length or without an id ends the body: its
-    chunk holds the rows before it, and in place of None the error it raises.
+    row, each row's stripped user id, the rows' cells, None). The cells are
+    an array from np.loadtxt, or a list of strings from csv.reader (see
+    `_parse_chunk`). A row of the wrong length or without an id ends the
+    body: its chunk holds the rows before it, and in place of None the error
+    it raises.
 
     Iterating `fh` (opened with newline="") ends a line at CR, LF or CRLF,
-    where csv ends a record outside quotes. So a chunk of lines with no quote
-    and `horizon` commas on every line is one row per line, and is split with
-    str.split. Any other chunk goes through csv.reader, which reads on past
-    the chunk's last line while a quoted field holds a line break.
+    where csv ends a record outside quotes. So a chunk of lines with
+    `horizon` commas on every line and no character of `_CSV_ONLY` is one
+    row per line, and np.loadtxt reads its cells. Where both accept a cell,
+    np.loadtxt and float() give the same double; a cell np.loadtxt rejects
+    (`1_0`, non-ASCII digits, a bad cell) sends its chunk to csv.reader, as
+    does any other chunk. csv.reader reads on past the chunk's last line
+    while a quoted field holds a line break.
     """
     chunk_rows = max(1, _CHUNK_CELLS // horizon)
+    usecols = range(1, horizon + 1)
     first_row = 2
     while lines := list(islice(fh, chunk_rows)):
-        # each line's terminator stays on its last cell, where float() skips it
-        text = ",".join(lines)
         error = None
-        if '"' not in text and set(map(str.count, lines, repeat(","))) == {horizon}:
-            cells = text.split(",")
-            ids = [uid.strip() for uid in cells[::horizon + 1]]
-            del cells[::horizon + 1]
+        cells = None
+        text = "".join(lines)
+        # a line with too few commas makes np.loadtxt raise, so with this
+        # total no line has too many
+        if (text.count(",") == horizon * len(lines)
+                and not any(c in text for c in _CSV_ONLY)):
+            try:
+                cells = np.loadtxt(lines, delimiter=",", usecols=usecols, comments=None,
+                                   ndmin=2, dtype=float)
+            except ValueError:
+                pass   # a cell it rejects: csv.reader and float() decide
+        if cells is not None:
+            ids = [line.partition(",")[0].strip() for line in lines]
             if not all(ids):
                 bad = ids.index("")
                 error = MalformedRow(first_row + bad, "missing user_id")
-                ids, cells = ids[:bad], cells[:bad * horizon]
+                ids, cells = ids[:bad], cells[:bad]
         else:
             ids, cells = [], []
             reader = csv.reader(chain(lines, fh))
@@ -259,16 +292,19 @@ def ingest_csv(path) -> IngestResult:
     the first bad row in the file decides the error. A byte that is not
     UTF-8 raises ValueError naming its line, once reading reaches it.
 
-    The body is read in chunks of about `_CHUNK_CELLS` cells. A chunk whose
-    lines hold no quote and exactly one field per header column is split on
-    its commas; any other (a quoted field, a blank or ragged line) is read
-    with csv.reader. Either way the chunk's cells are converted by one numpy
-    call, and its ids are checked at once unless one repeats.
+    The body is read in chunks of about `_CHUNK_CELLS` cells. np.loadtxt
+    reads a chunk whose lines hold no quote and exactly one field per header
+    column; any other chunk (a quoted field, a blank or ragged line, a cell
+    np.loadtxt rejects) is read with csv.reader and its cells converted by
+    one numpy call. Either way a chunk's rows are judged at once, and its ids
+    are checked at once unless one repeats. `csv_rows` counts the rows
+    csv.reader read.
     """
     user_ids: list[str] = []
     blocks: list[np.ndarray] = []
     seen: set[str] = set()   # ids of kept rows only
     excluded: list[tuple[int, str]] = []
+    csv_rows = 0
 
     def judge(first_row, ids, cells):
         """Keep or exclude each row of a chunk."""
@@ -308,13 +344,16 @@ def ingest_csv(path) -> IngestResult:
                 judge(first_row, ids, cells)
                 if error is not None:
                     raise error
+                if isinstance(cells, list):
+                    csv_rows += len(ids)
     except UnicodeDecodeError:
         raise ValueError(_undecodable(path)) from None
 
     if not user_ids:
         raise EmptyPopulation(f"{path}: no usable rows")
-    pop = Population(user_ids, np.vstack(blocks))
-    return IngestResult(pop, len(excluded), excluded)
+    # the ids are unique and the rows non-negative: judge() checked both
+    pop = Population._checked(user_ids, np.vstack(blocks))
+    return IngestResult(pop, len(excluded), excluded, csv_rows)
 
 
 def write_csv(pop: Population, path) -> None:

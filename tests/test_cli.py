@@ -77,6 +77,7 @@ def test_price_excludes_rows_with_infinite_cells(tmp_path):
     meta = json.loads((tmp_path / "meta_price.json").read_text())
     assert meta["n_users"] == 39 and meta["n_excluded"] == 1
     assert meta["excluded_by_reason"] == {"infinite value": 1}
+    assert meta["csv_rows"] == 0    # np.loadtxt reads inf
 
 
 def test_meta_breaks_exclusions_down_by_reason(tmp_path):
@@ -97,6 +98,8 @@ def test_meta_breaks_exclusions_down_by_reason(tmp_path):
             "infinite value": 1, "negative consumption": 1,
             "zero total consumption": 1,
         }
+        # np.loadtxt rejects "abc" and "", so csv.reader read the one chunk
+        assert meta["csv_rows"] == 40
 
 
 def test_unknown_flag_is_validation_error(tmp_path):
@@ -348,6 +351,8 @@ def test_every_sidecar_records_peak_memory_and_versions(tmp_path, small_config, 
         else:
             assert sorted(meta["stages"]) == ["compute", "load", "write"], path.name
             assert meta["nonpositive_prices"] is None, path.name
+            # np.loadtxt read every row of the datagen corpus
+            assert meta["n_excluded"] == 0 and meta["csv_rows"] == 0, path.name
         assert all(0.0 <= s < 60.0 for s in meta["stages"].values()), path.name
 
 

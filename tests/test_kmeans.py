@@ -113,6 +113,13 @@ def test_duplicate_points_keep_k_clusters_nonempty():
     counts = np.bincount(out.labels, minlength=3)
     assert np.all(counts > 0)
     assert out.empty_cluster_repairs >= 1
+    # the repair repeats itself from the second iteration on: it stops there
+    # with what 100 repaired iterations gave, not at the iteration cap
+    assert out.labels.tolist() == [2, 1, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0]
+    assert out.centers.tolist() == [[0.7000000000000001] + [0.10000000000000002] * 3,
+                                    [0.25] * 4, [0.25] * 4]
+    assert out.n_iter <= 4 and out.empty_cluster_repairs <= 4
+    assert not out.label_fixpoint
 
 
 def test_sigma_zero_when_members_equal_center():

@@ -86,6 +86,18 @@ def test_population_validation():
         Population(["a"], [[1, -2]])  # negative load
 
 
+def test_ingest_population_equals_checked_population(tmp_path):
+    path = tmp_path / "pop.csv"
+    path.write_text("user_id,t0,t1\n b ,1,2.5\na,0,3\nc,-1,1\n")
+    got = ingest_csv(path).population
+    expected = Population(["b", "a"], np.array([[1, 2.5], [0, 3]]))
+    assert type(got) is Population and vars(got).keys() == vars(expected).keys()
+    assert type(got.user_ids) is list and got.user_ids == expected.user_ids
+    assert got.consumption.dtype == expected.consumption.dtype
+    assert got.consumption.tobytes() == expected.consumption.tobytes()
+    assert got.consumption.shape == expected.consumption.shape
+
+
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
@@ -339,18 +351,39 @@ def test_clean_corpus_reads_only_its_header_with_csv(tmp_path, monkeypatch):
 
     real_reader = profiles.csv.reader
     monkeypatch.setattr(profiles.csv, "reader", counting_reader)
-    assert ingest_csv(path).population.user_ids == pop.user_ids
-    # one reader, and it read one line: the header. The body's chunks were
-    # all split on their commas
+    result = ingest_csv(path)
+    assert result.population.user_ids == pop.user_ids
+    # one reader, and it read one line: the header. np.loadtxt read every
+    # chunk of the body
     assert [reader.line_num for reader in readers] == [1]
+    assert result.csv_rows == 0
 
-    # a quoted id sends its chunk of 256 rows, and only that chunk, to csv
+    # a quoted id sends its chunk, and only that chunk, to csv
+    chunk_rows = profiles._CHUNK_CELLS // 24
+    assert pop.n_users > chunk_rows
     ids = list(pop.user_ids)
     ids[100] = "Smith, J"
     write_csv(Population(ids, pop.consumption), path)
     readers.clear()
-    assert ingest_csv(path).population.user_ids == ids
-    assert [reader.line_num for reader in readers] == [1, 256]
+    result = ingest_csv(path)
+    assert result.population.user_ids == ids
+    assert [reader.line_num for reader in readers] == [1, chunk_rows]
+    assert result.csv_rows == chunk_rows
+
+
+# every whitespace character around a cell, and cells float() accepts in
+# spellings np.loadtxt rejects
+_SPACED_CELLS = [cell for c in map(chr, range(0x110000)) if c.isspace()
+                 for cell in (c + "2", "2" + c)] + ["1_0", "\uff11", "\u0663", "1\x00"]
+
+
+def test_ingest_takes_float_spellings_around_loadtxt(tmp_path):
+    assert len(_SPACED_CELLS) > 50
+    for case, cell in enumerate(_SPACED_CELLS):
+        path = tmp_path / f"case{case}.csv"
+        path.write_text(f"user_id,t0,t1\na,1,{cell}\nb,{cell},3\nc,4,5\n",
+                        encoding="utf-8", newline="")
+        assert _outcome(ingest_csv, path) == _outcome(_reference_ingest_csv, path), repr(cell)
 
 
 def test_ingest_across_chunk_boundaries(tmp_path, monkeypatch):
@@ -393,6 +426,17 @@ def test_ingest_quoted_id_with_comma(tmp_path):
     result = ingest_csv(path)
     assert result.population.user_ids == ["Smith, J", "b"]
     assert result.population.consumption.tolist() == [[1, 2], [3, 4]]
+
+
+@pytest.mark.parametrize("body, ids", [('"a",1,2\n"b c",3,4\n', ["a", "b c"]),
+                                       ('a,1,2\nb,"3",4\n', ["a", "b"])])
+def test_ingest_unquotes_fields_without_commas(tmp_path, body, ids):
+    path = tmp_path / "pop.csv"
+    path.write_text("user_id,t0,t1\n" + body)
+    result = ingest_csv(path)
+    assert result.population.user_ids == ids
+    assert result.population.consumption.tolist() == [[1, 2], [3, 4]]
+    assert result.csv_rows == 2
 
 
 def test_ingest_accepts_float_spellings(tmp_path):
