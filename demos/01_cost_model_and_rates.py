@@ -10,12 +10,10 @@ import numpy as np
 
 from gridrates import (
     CostModel,
-    SystemLoad,
     aggregate,
     billing_identity_check,
     generate_corpus,
     mci,
-    normalize,
     price_curve,
     residential_spec,
     total_cost,
@@ -41,17 +39,17 @@ print(f"\nprice range: {prices.prices.min():.2f} .. {prices.prices.max():.2f}")
 assert load.loads.argmax() == prices.prices.argmax()
 
 # rate three contrasting users
-for profile in list(pop.profiles())[:3]:
+for user_id, profile in zip(pop.user_ids[:3], pop.consumption):
     rate = mci(prices, profile)
-    weights = normalize(profile).weights
+    weights = profile / profile.sum()
     peak_hour = int(weights.argmax())
-    print(f"user {profile.user_id}: rate {rate:6.2f}  (busiest hour {peak_hour:2d}, "
-          f"daily total {profile.total:,.0f})")
+    print(f"user {user_id}: rate {rate:6.2f}  (busiest hour {peak_hour:2d}, "
+          f"daily total {profile.sum():,.0f})")
     assert billing_identity_check(prices, profile)
 
 # a user's rate never leaves the price range, and scaling consumption
 # up or down does not change it
-some = next(iter(pop.profiles()))
+some = pop.consumption[0]
 assert prices.prices.min() <= mci(prices, some) <= prices.prices.max()
-assert np.isclose(mci(prices, 3.0 * some.consumption), mci(prices, some.consumption))
+assert np.isclose(mci(prices, 3.0 * some), mci(prices, some))
 print("\nbilling identity and rate bounds hold for every user checked")

@@ -11,7 +11,6 @@ import numpy as np
 from gridrates import (
     CostModel,
     aggregate,
-    count_disguisers,
     disguise_reports,
     effort_matrix,
     generate_corpus,
@@ -20,6 +19,7 @@ from gridrates import (
     price_curve,
     residential_spec,
     smoothness_bound,
+    theta_sweep,
 )
 
 spec = residential_spec(n_users=2000, seed=7, total_range=(4000.0, 9000.0))
@@ -44,14 +44,13 @@ print(f"  {len(movable)} of {pop.n_users} users can switch to a cheaper cluster"
 print(f"  largest per-unit saving: {best.benefit:.2f} "
       f"(user {best.user_id}, effort {best.cr:.3f})")
 
-counts, pct = count_disguisers(efforts, theta)
+_, pct, counts = theta_sweep(efforts, [theta])[0]
 print(f"  strategic users: {pct:.1f}% of the population")
 print(f"  per-cluster counts: {counts.tolist()}")
 
 # sweep the effort threshold: more tolerance, more strategic users
 print("\ntheta   strategic %")
-for theta in (0.01, 0.02, 0.05, 0.10, 0.20):
-    _, pct = count_disguisers(efforts, theta)
+for theta, pct, _ in theta_sweep(efforts, (0.01, 0.02, 0.05, 0.10, 0.20)):
     print(f"{theta:5.2f}   {pct:6.2f}")
 
 # the gap a disguiser can reach vs what a rate-band scheme would certify

@@ -32,14 +32,11 @@ from .model import (
 from .profiles import (
     CorpusSpec,
     IngestResult,
-    LoadProfile,
-    NormalizedProfile,
     Population,
     aggregate,
     commercial_spec,
     generate_corpus,
     ingest_csv,
-    normalize,
     normalize_matrix,
     residential_spec,
     write_csv,
@@ -57,7 +54,6 @@ from .tariff import Tariff
 from .vulnerability import (
     Efforts,
     SmoothnessReport,
-    count_disguisers,
     disguise_reports,
     disguised_profile,
     effort_matrix,
@@ -65,7 +61,6 @@ from .vulnerability import (
     min_switch_effort,
     smoothness_bound,
     switch_efforts,
-    switch_margin,
     theta_sweep,
 )
 

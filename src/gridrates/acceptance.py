@@ -16,18 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
 from .kmeans import kmeans_profiles
 from .model import CostModel, PriceCurve, SystemLoad, mci_matrix, price_curve
-from .profiles import generate_corpus, residential_spec, commercial_spec
+from .profiles import aggregate, generate_corpus, residential_spec, commercial_spec
 from .robust import MciTable, criterion_check, gkc, mci_table, minimal_clusters_oracle, skc
-from .vulnerability import (
-    count_disguisers,
-    measure_smoothness,
-    min_switch_effort,
-    smoothness_bound,
-    theta_sweep,
-)
+from .vulnerability import measure_smoothness, min_switch_effort, smoothness_bound, theta_sweep
 
 DEFAULT_COST = CostModel(0.00012, -37.38)
 
@@ -78,7 +71,7 @@ def _reference_population(n: int = 10_000, seed: int = 606, pool: int = 50_000):
     """One 50k draw whose leading slices serve as the size-sweep corpora."""
     pop = generate_corpus(residential_spec(pool, seed=seed))
     reference = pop.subset(n)
-    prices = price_curve(DEFAULT_COST, SystemLoad(reference.consumption.sum(axis=0)))
+    prices = price_curve(DEFAULT_COST, aggregate(reference))
     return pop, reference, prices
 
 
@@ -146,12 +139,12 @@ def check_band_criterion(n_seeds: int = 100) -> CheckResult:
             spec = residential_spec(
                 200, seed=seed, total_range=(800.0 * 50, 1800.0 * 50))
             pop = generate_corpus(spec)
-            prices = price_curve(DEFAULT_COST, SystemLoad(pop.consumption.sum(axis=0)))
+            prices = price_curve(DEFAULT_COST, aggregate(pop))
             base = kmeans_profiles(pop, k=8, prices=prices, seed=seed)
             refined = skc(pop, prices, rho, base)
             greedy = gkc(mci_table(pop, prices), rho)
             for clustering in (refined, greedy):
-                ok, gap = criterion_check(clustering, rho=rho, atol=1e-12)
+                ok, gap = criterion_check(clustering, rho=rho)
                 worst_gap = max(worst_gap, gap)
                 failures += 0 if ok else 1
         return failures, worst_gap
@@ -179,15 +172,16 @@ def check_gap_guarantee() -> CheckResult:
             generate_corpus(commercial_spec(2000, seed=0, total_range=(4000.0, 9000.0)))
         ]
         for pop in corpora:
-            prices = price_curve(DEFAULT_COST, SystemLoad(pop.consumption.sum(axis=0)))
+            prices = price_curve(DEFAULT_COST, aggregate(pop))
             table = mci_table(pop, prices)
+            base = kmeans_profiles(pop, k=8, prices=prices, seed=0)
             for rho in (0.25, 0.5, 1.0):
-                banded = gkc(table, rho)
-                for theta in (0.05, 0.1, 0.2, 0.5):
-                    bound = smoothness_bound(rho, theta)
-                    delta = measure_smoothness(banded, theta=theta).delta_observed
-                    worst_margin = max(worst_margin, delta - bound)
-                    cases += 1
+                for banded in (gkc(table, rho), skc(pop, prices, rho, base)):
+                    for theta in (0.05, 0.1, 0.2, 0.5):
+                        bound = smoothness_bound(rho, theta)
+                        delta = measure_smoothness(banded, theta=theta).delta_observed
+                        worst_margin = max(worst_margin, delta - bound)
+                        cases += 1
         return cases, worst_margin
 
     (cases, worst_margin), elapsed = _timed(run)
@@ -296,7 +290,7 @@ def check_refine_vs_greedy() -> CheckResult:
 def check_sensitivity() -> CheckResult:
     def run():
         pop = generate_corpus(residential_spec(5000, seed=707, total_range=(1600.0, 3600.0)))
-        loads = SystemLoad(pop.consumption.sum(axis=0))
+        loads = aggregate(pop)
         rho_grid = np.geomspace(0.05, 5.0, 20)
         a_values = [DEFAULT_COST.a / 2, DEFAULT_COST.a, DEFAULT_COST.a * 2]
         counts = {}
@@ -333,7 +327,7 @@ def check_sensitivity() -> CheckResult:
 def check_vulnerability_monotonicity() -> CheckResult:
     def run():
         pop = generate_corpus(residential_spec(2000, seed=808, total_range=(4000.0, 9000.0)))
-        prices = price_curve(DEFAULT_COST, SystemLoad(pop.consumption.sum(axis=0)))
+        prices = price_curve(DEFAULT_COST, aggregate(pop))
         clustering = kmeans_profiles(
             pop, k=24, prices=prices, seed=808, metric="l1", max_iters=300)
         thetas = np.round(np.arange(0, 41) * 0.005, 10)

@@ -27,15 +27,14 @@ from .config import CSV_FLOAT_FMT, RunConfig
 from .errors import (
     ConfigError,
     EmptyPopulation,
-    GridRatesError,
     InconsistentHorizon,
     KTooLarge,
     MalformedRow,
     ZeroProfile,
 )
 from .kmeans import kmeans_profiles, sigma
-from .model import PriceCurve, SystemLoad, mci_matrix, price_curve
-from .profiles import Population, generate_corpus, ingest_csv, write_csv
+from .model import PriceCurve, mci_matrix, price_curve
+from .profiles import Population, aggregate, generate_corpus, ingest_csv, write_csv
 from .robust import criterion_check, gkc, mci_table, skc
 from .tariff import Tariff
 from .vulnerability import (
@@ -93,11 +92,11 @@ def _write_json(path, doc) -> None:
 
 
 @contextmanager
-def _stage(stages: dict, name: str):
-    """Record the seconds the block takes as stages[name], for the sidecar."""
+def _stage(record: dict, name: str):
+    """Record the seconds the block takes as record[name], for the sidecar."""
     start = time.perf_counter()
     yield
-    stages[name] = time.perf_counter() - start
+    record[name] = time.perf_counter() - start
 
 
 def _write_meta(out_dir: Path, command: str, cfg: RunConfig, **extra) -> None:
@@ -152,7 +151,7 @@ def _load_population(args, cfg: RunConfig):
 
 
 def _prices_for(cfg: RunConfig, pop: Population):
-    return price_curve(cfg.cost_model(), SystemLoad(pop.consumption.sum(axis=0)))
+    return price_curve(cfg.cost_model(), aggregate(pop))
 
 
 def _nonpositive_prices(curve: PriceCurve):
@@ -198,9 +197,9 @@ def cmd_price(args) -> int:
     with _stage(stages, "load"):
         pop, excluded = _load_population(args, cfg)
     with _stage(stages, "compute"):
-        prices = _prices_for(cfg, pop)
-        loads = pop.consumption.sum(axis=0)
-        rows = [(t, loads[t], prices.prices[t]) for t in range(pop.horizon)]
+        load = aggregate(pop)
+        prices = price_curve(cfg.cost_model(), load)
+        rows = [(t, load.loads[t], prices.prices[t]) for t in range(pop.horizon)]
     with _stage(stages, "write"):
         _write_table(out / "price.csv", ["t", "load", "price"], rows, cfg.hash())
     _write_meta(out, "price", cfg, n_users=pop.n_users, **excluded,
@@ -235,30 +234,20 @@ def cmd_cluster(args) -> int:
 
     with _stage(stages, "compute"):
         prices = _prices_for(cfg, pop)
-        if args.method == "profile":
-            start = time.perf_counter()
-            tariff = kmeans_profiles(
-                pop, k=cfg.baseline_k(), prices=prices,
-                seed=cfg.seed, metric=cfg.metric,
-            )
-            meta["wall_time_s"] = time.perf_counter() - start
+        if args.method == "gkc":
+            with _stage(meta, "wall_time_s"):
+                tariff = gkc(mci_table(pop, prices), cfg.rho)
+        elif args.method in ("profile", "skc"):
+            # skc refines the k-means tariff; its base is timed apart
+            key = "wall_time_s" if args.method == "profile" else "base_wall_time_s"
+            with _stage(meta, key):
+                tariff = kmeans_profiles(pop, k=cfg.baseline_k(), prices=prices,
+                                         seed=cfg.seed, metric=cfg.metric)
             meta.update(_kmeans_facts(tariff))
-        elif args.method == "gkc":
-            start = time.perf_counter()
-            tariff = gkc(mci_table(pop, prices), cfg.rho)
-            meta["wall_time_s"] = time.perf_counter() - start
-        elif args.method == "skc":
-            start = time.perf_counter()
-            base = kmeans_profiles(
-                pop, k=cfg.baseline_k(), prices=prices,
-                seed=cfg.seed, metric=cfg.metric,
-            )
-            meta["base_wall_time_s"] = time.perf_counter() - start
-            meta.update(_kmeans_facts(base))
-            start = time.perf_counter()  # refinement time only, base timed apart
-            tariff = skc(pop, prices, cfg.rho, base)
-            meta["wall_time_s"] = time.perf_counter() - start
-            meta["skc_max_depth"] = tariff.split_depth
+            if args.method == "skc":
+                with _stage(meta, "wall_time_s"):
+                    tariff = skc(pop, prices, cfg.rho, tariff)
+                meta["skc_max_depth"] = tariff.split_depth
         else:
             raise ConfigError(f"unknown method {args.method!r}")
 
@@ -290,10 +279,10 @@ def cmd_vulnerability(args) -> int:
 
     # one effort matrix feeds every report; the reports are columns over
     # it, streamed to their files one chunk of users at a time
+    timed: dict = {}
     with _stage(stages, "compute"):
-        start = time.perf_counter()
-        efforts = effort_matrix(tariff, pop, strict=args.strict)
-        effort_s = time.perf_counter() - start
+        with _stage(timed, "effort_s"):
+            efforts = effort_matrix(tariff, pop, strict=args.strict)
         rows = theta_sweep(efforts, thetas)
         reports = disguise_reports(efforts, theta_ref)
         smooth = measure_smoothness(efforts, theta_ref, bound=bound)
@@ -320,7 +309,7 @@ def cmd_vulnerability(args) -> int:
     _write_meta(out, "vulnerability", cfg, n_users=pop.n_users,
                 **excluded, nonpositive_prices=_nonpositive_prices(curve),
                 stages=stages, theta_ref=theta_ref, strict=args.strict,
-                effort_s=effort_s, n_effort_pairs=n_pairs,
+                **timed, n_effort_pairs=n_pairs,
                 n_unreachable_pairs=n_unreachable, n_reported_efforts=n_reported,
                 n_degenerate_targets=degenerate_targets(tariff),
                 n_reachable_pairs=len(smooth.pairs))
@@ -342,13 +331,13 @@ def cmd_sensitivity(args) -> int:
     stages: dict = {}
     with _stage(stages, "load"):
         pop, excluded = _load_population(args, cfg)
-    loads = SystemLoad(pop.consumption.sum(axis=0))
+    loads = aggregate(pop)
     rho_grid = _parse_grid(args.rho_grid, np.round(np.geomspace(0.05, 5.0, 20), 9))
     a_grid = _parse_grid(args.a_grid, [cfg.a / 2, cfg.a, cfg.a * 2])
     rows = []
     nonpositive_a = []   # the grid's curvatures whose price curve has a price <= 0
     with _stage(stages, "compute"):
-        nonpositive = _nonpositive_prices(_prices_for(cfg, pop))
+        nonpositive = _nonpositive_prices(price_curve(cfg.cost_model(), loads))
         for a in a_grid:
             curve = price_curve(cfg.with_overrides(a=a).cost_model(), loads)
             if _nonpositive_prices(curve):

@@ -38,6 +38,13 @@ def _distances(points: np.ndarray, centers: np.ndarray, metric: str) -> np.ndarr
     raise ValueError(f"unknown metric {metric!r}")
 
 
+def _centers(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Member mean of each of k non-empty clusters, summed slot by slot in
+    row order: the same bits as points[labels == j].mean(axis=0)."""
+    sums = [np.bincount(labels, weights=column, minlength=k) for column in points.T]
+    return np.stack(sums, axis=1) / np.bincount(labels, minlength=k)[:, None]
+
+
 def _plusplus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
@@ -121,7 +128,7 @@ def kmeans_profiles(
         if stable or (converged and not repaired):
             fixpoint = stable
             break
-        new_centers = np.vstack([points[labels == j].mean(axis=0) for j in range(k)])
+        new_centers = _centers(points, labels, k)
         converged = np.abs(new_centers - centers).max() < CENTER_TOL
         centers = new_centers
         if repaired and same:
@@ -129,7 +136,7 @@ def kmeans_profiles(
             # so every later iteration would repeat this repair
             break
     else:
-        centers = np.vstack([points[labels == j].mean(axis=0) for j in range(k)])
+        centers = _centers(points, labels, k)
     inertia = float(((points - centers[labels]) ** 2).sum())
 
     return Tariff(

@@ -48,10 +48,6 @@ class SystemLoad:
             raise ValueError("slot loads must be non-negative")
         object.__setattr__(self, "loads", loads)
 
-    @property
-    def horizon(self) -> int:
-        return self.loads.size
-
 
 @dataclass(frozen=True)
 class PriceCurve:
@@ -64,10 +60,6 @@ class PriceCurve:
         if prices.ndim != 1 or prices.size < 1:
             raise ValueError("prices must be a non-empty 1-D vector")
         object.__setattr__(self, "prices", prices)
-
-    @property
-    def horizon(self) -> int:
-        return self.prices.size
 
 
 def total_cost(model: CostModel, load: SystemLoad) -> float:
@@ -95,22 +87,15 @@ def price_curve(model: CostModel, load: SystemLoad) -> PriceCurve:
     return PriceCurve(prices)
 
 
-def _consumption_vector(profile) -> np.ndarray:
-    # accepts a raw vector or anything carrying .consumption / .weights
-    for attr in ("consumption", "weights"):
-        if hasattr(profile, attr):
-            return np.asarray(getattr(profile, attr), dtype=float)
-    return np.asarray(profile, dtype=float)
-
-
 def mci(prices: PriceCurve, profile) -> float:
     """Marginal cost impact: the user's load-share-weighted average price.
 
     rate = sum_t p_t * l_t / ||l||_1. Scale-invariant in the profile, and
-    always between min(p) and max(p).
+    always between min(p) and max(p). The pipeline rates users with
+    `mci_matrix`; this one-profile form is the reference it is tested against.
     """
     p = prices.prices if isinstance(prices, PriceCurve) else np.asarray(prices, float)
-    l = _consumption_vector(profile)
+    l = np.asarray(profile, dtype=float)
     if l.shape != p.shape:
         raise ValueError(f"profile has {l.size} slots, price curve has {p.size}")
     total = l.sum()
@@ -137,7 +122,7 @@ def billing_identity_check(prices: PriceCurve, profile, rel_tol: float = REL_TOL
     to floating-point rounding.
     """
     p = prices.prices if isinstance(prices, PriceCurve) else np.asarray(prices, float)
-    l = _consumption_vector(profile)
+    l = np.asarray(profile, dtype=float)
     bill = float(np.dot(p, l))
     recovered = mci(prices, profile) * l.sum()
     return abs(recovered - bill) <= rel_tol * (1.0 + abs(bill))

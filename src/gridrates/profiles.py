@@ -28,48 +28,6 @@ DEFAULT_HORIZON = 24
 CSV_FLOAT_FMT = "%.9g"
 
 
-@dataclass(frozen=True)
-class LoadProfile:
-    """One user's raw per-slot consumption."""
-
-    user_id: str
-    consumption: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.consumption, dtype=float)
-        if vec.ndim != 1 or vec.size < 1:
-            raise ValueError("consumption must be a non-empty 1-D vector")
-        if np.any(vec < 0):
-            raise ValueError(f"user {self.user_id}: negative consumption")
-        object.__setattr__(self, "consumption", vec)
-
-    @property
-    def total(self) -> float:
-        return float(self.consumption.sum())
-
-
-@dataclass(frozen=True)
-class NormalizedProfile:
-    """A profile divided by its total consumption; weights sum to 1."""
-
-    user_id: str
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"user {self.user_id}: weights must be a distribution")
-        object.__setattr__(self, "weights", w)
-
-
-def normalize(profile: LoadProfile) -> NormalizedProfile:
-    """Divide a profile by its total consumption."""
-    total = profile.consumption.sum()
-    if total <= 0:
-        raise ZeroProfile(f"user {profile.user_id} has zero total consumption")
-    return NormalizedProfile(profile.user_id, profile.consumption / total)
-
-
 def normalize_matrix(consumption: np.ndarray) -> np.ndarray:
     """Row-normalize an (N, T) consumption matrix onto the simplex."""
     consumption = np.asarray(consumption, dtype=float)
@@ -112,10 +70,6 @@ class Population:
     @property
     def horizon(self) -> int:
         return self.consumption.shape[1]
-
-    def profiles(self):
-        for uid, row in zip(self.user_ids, self.consumption):
-            yield LoadProfile(uid, row)
 
     def rows_of(self, user_ids) -> np.ndarray:
         """Row index of each of the given user ids, in their order."""

@@ -24,6 +24,9 @@ from .profiles import Population
 from .tariff import Tariff
 
 SKC_MAX_DEPTH = 64
+# slack of the band criterion check: absorbs the half-ulp rounding of
+# midpoint prices
+CRITERION_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -183,12 +186,11 @@ def minimal_clusters_oracle(table: MciTable, rho: float, cap: int = 2000) -> int
     return int(f[n])
 
 
-def criterion_check(tariff: Tariff, table: MciTable | None = None,
-                    rho: float | None = None, atol: float = 1e-12):
-    """Verify |rate_i - price of i's cluster| <= rho for every user.
+def criterion_check(tariff: Tariff, table: MciTable | None = None, rho: float | None = None):
+    """Verify |rate_i - price of i's cluster| <= rho + CRITERION_ATOL for every user.
 
     Returns (ok, worst_gap). Uses the tariff's own rates and rho unless
-    overridden. `atol` absorbs the half-ulp rounding of midpoint prices.
+    overridden.
     """
     rho = tariff.rho if rho is None else rho
     user_prices = tariff.prices[tariff.labels]
@@ -198,5 +200,5 @@ def criterion_check(tariff: Tariff, table: MciTable | None = None,
         price_of = dict(zip(tariff.user_ids.tolist(), user_prices))
         gaps = np.abs(table.mcis - np.array([price_of[u] for u in table.user_ids.tolist()]))
     worst = float(gaps.max())
-    return bool(worst <= rho + atol), worst
+    return bool(worst <= rho + CRITERION_ATOL), worst
 

@@ -13,6 +13,7 @@ from gridrates import (
     residential_spec,
     sigma,
 )
+from gridrates import kmeans
 
 
 def _random_population(n, t=24, seed=0):
@@ -82,6 +83,21 @@ def test_invariant_to_input_row_order():
     b = kmeans_profiles(shuffled, k=6, seed=13)
     assert a.assignments == b.assignments
     assert np.array_equal(a.centers, b.centers)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_centers_equal_mask_means_bitwise(seed):
+    # the bincount sums add members slot by slot in row order, as the mask
+    # mean does, so the centers keep every bit of the member means
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 20_000))
+    k = int(rng.integers(1, min(n, 40) + 1))
+    points = rng.dirichlet(np.ones(int(rng.integers(1, 30))), size=n)
+    labels = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
+    expected = np.vstack([points[labels == j].mean(axis=0) for j in range(k)])
+    got = kmeans._centers(points, labels, k)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_centers_stay_on_simplex():

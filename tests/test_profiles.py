@@ -9,7 +9,6 @@ from gridrates import (
     EmptyPopulation,
     IngestResult,
     InconsistentHorizon,
-    LoadProfile,
     MalformedRow,
     Population,
     ZeroProfile,
@@ -17,7 +16,7 @@ from gridrates import (
     commercial_spec,
     generate_corpus,
     ingest_csv,
-    normalize,
+    normalize_matrix,
     residential_spec,
     write_csv,
 )
@@ -25,29 +24,27 @@ from gridrates import profiles
 
 
 def test_normalize_symmetric():
-    out = normalize(LoadProfile("u", [2, 2]))
-    np.testing.assert_allclose(out.weights, [0.5, 0.5])
+    np.testing.assert_allclose(normalize_matrix([[2, 2]]), [[0.5, 0.5]])
 
 
 def test_normalize_direct_division():
-    out = normalize(LoadProfile("u", [0, 3, 1]))
-    np.testing.assert_allclose(out.weights, [0, 0.75, 0.25])
+    np.testing.assert_allclose(normalize_matrix([[0, 3, 1]]), [[0, 0.75, 0.25]])
 
 
 def test_normalize_sums_to_one_and_idempotent():
     rng = np.random.default_rng(0)
     for _ in range(100):
-        vec = rng.uniform(0, 5, size=24)
-        vec[rng.integers(24)] += 0.1  # ensure nonzero
-        once = normalize(LoadProfile("u", vec))
-        assert abs(once.weights.sum() - 1.0) <= 1e-12
-        twice = normalize(LoadProfile("u", once.weights))
-        np.testing.assert_allclose(twice.weights, once.weights, atol=1e-12)
+        vec = rng.uniform(0, 5, size=(1, 24))
+        vec[0, rng.integers(24)] += 0.1  # ensure nonzero
+        once = normalize_matrix(vec)
+        assert abs(once.sum() - 1.0) <= 1e-12
+        twice = normalize_matrix(once)
+        np.testing.assert_allclose(twice, once, atol=1e-12)
 
 
 def test_normalize_zero_profile():
     with pytest.raises(ZeroProfile):
-        normalize(LoadProfile("u", [0.0, 0.0]))
+        normalize_matrix([[0.0, 0.0]])
 
 
 def test_aggregate_direct_sum():
