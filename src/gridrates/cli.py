@@ -37,16 +37,7 @@ from .model import PriceCurve, mci_matrix, price_curve
 from .profiles import Population, aggregate, generate_corpus, ingest_csv, write_csv
 from .robust import criterion_check, gkc, mci_table, skc
 from .tariff import Tariff
-from .vulnerability import (
-    degenerate_targets,
-    disguise_reports,
-    effort_matrix,
-    measure_smoothness,
-    smoothness_bound,
-    theta_sweep,
-    write_reports_csv,
-    write_reports_json,
-)
+from .vulnerability import Audit, ReportFiles, degenerate_targets, smoothness_bound
 
 VALIDATION_ERRORS = (
     ConfigError,
@@ -93,10 +84,10 @@ def _write_json(path, doc) -> None:
 
 @contextmanager
 def _stage(record: dict, name: str):
-    """Record the seconds the block takes as record[name], for the sidecar."""
+    """Add the seconds the block takes to record[name], for the sidecar."""
     start = time.perf_counter()
     yield
-    record[name] = time.perf_counter() - start
+    record[name] = record.get(name, 0.0) + time.perf_counter() - start
 
 
 def _write_meta(out_dir: Path, command: str, cfg: RunConfig, **extra) -> None:
@@ -277,42 +268,41 @@ def cmd_vulnerability(args) -> int:
     theta_ref = float(thetas[-1])
     bound = smoothness_bound(cfg.rho, theta_ref)
 
-    # one effort matrix feeds every report; the reports are columns over
-    # it, streamed to their files one chunk of users at a time
-    timed: dict = {}
+    # one pass over chunks of users in id order: each chunk's efforts are
+    # built once, read by every report, and its reports written before the
+    # next chunk is built
     with _stage(stages, "compute"):
-        with _stage(timed, "effort_s"):
-            efforts = effort_matrix(tariff, pop, strict=args.strict)
-        rows = theta_sweep(efforts, thetas)
-        reports = disguise_reports(efforts, theta_ref)
-        smooth = measure_smoothness(efforts, theta_ref, bound=bound)
-    n_pairs = efforts.efforts.size - len(efforts.user_ids)   # own column left out
-    n_unreachable = int(np.isinf(efforts.efforts).sum()) - len(efforts.user_ids)
+        audit = Audit(tariff, pop, args.strict, thetas, theta_ref, bound)
+    with ReportFiles(out / "disguise_reports.csv", out / "disguise_reports.json") as files:
+        for rows in audit.chunks():
+            with _stage(stages, "compute"):
+                reports = audit.add(rows)
+            with _stage(stages, "write"):
+                files.write(reports)
 
     header = ["theta", "pct_strategic"] + [f"n_{j}" for j in range(tariff.k)]
     table_rows = [
-        (theta, pct, *counts.tolist()) for theta, pct, counts in rows
+        (theta, pct, *counts.tolist()) for theta, pct, counts in audit.sweep_rows()
     ]
     with _stage(stages, "write"):
         _write_table(out / "vulnerability_sweep.csv", header, table_rows, cfg.hash())
         _write_json(out / "smoothness.json", {
             "config_hash": cfg.hash(),
-            "theta": smooth.theta,
-            "delta_observed": smooth.delta_observed,
+            "theta": theta_ref,
+            "delta_observed": audit.delta_observed,
             "band_bound": bound,
-            "n_reachable_pairs": len(smooth.pairs),
-            "n_violations": len(smooth.violations),
-            "worst_pairs": sorted(smooth.pairs, key=lambda p: -p[2])[:20],
+            "n_reachable_pairs": audit.n_reachable,
+            "n_violations": audit.n_violations,
+            "worst_pairs": audit.worst_pairs(),
         })
-        write_reports_csv(reports, out / "disguise_reports.csv")
-        n_reported = write_reports_json(reports, out / "disguise_reports.json")
     _write_meta(out, "vulnerability", cfg, n_users=pop.n_users,
                 **excluded, nonpositive_prices=_nonpositive_prices(curve),
                 stages=stages, theta_ref=theta_ref, strict=args.strict,
-                **timed, n_effort_pairs=n_pairs,
-                n_unreachable_pairs=n_unreachable, n_reported_efforts=n_reported,
+                effort_s=audit.effort_s, n_effort_pairs=len(tariff.labels) * (tariff.k - 1),
+                n_unreachable_pairs=audit.n_unreachable,
+                n_reported_efforts=files.n_reported,
                 n_degenerate_targets=degenerate_targets(tariff),
-                n_reachable_pairs=len(smooth.pairs))
+                n_reachable_pairs=audit.n_reachable)
     return 0
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -21,6 +22,8 @@ DEFAULT_A = 0.00012
 DEFAULT_B = -37.38
 DEFAULT_RHO = 0.5
 DEFAULT_K = {"residential": 30, "commercial": 24}
+# the most points a theta grid may have (a step of 1e-5 over [0, 1))
+MAX_THETA_POINTS = 100_001
 
 
 @dataclass(frozen=True)
@@ -64,12 +67,19 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         self.cost_model()
         self.corpus_spec()
-        if self.rho <= 0:
-            raise ConfigError(f"rho must be > 0, got {self.rho}")
+        if not 0 < self.rho < math.inf:
+            raise ConfigError(f"rho must be finite and > 0, got {self.rho}")
         if not 0 <= self.theta_max < 1:
             raise ConfigError(f"theta_max must be in [0, 1), got {self.theta_max}")
-        if self.theta_step <= 0:
-            raise ConfigError(f"theta_step must be > 0, got {self.theta_step}")
+        if not 0 < self.theta_step < math.inf:
+            raise ConfigError(f"theta_step must be finite and > 0, got {self.theta_step}")
+        # theta_grid's point count, checked before the grid is allocated; a
+        # tiny step makes the quotient huge or inf
+        steps = self.theta_max / self.theta_step
+        if steps > MAX_THETA_POINTS or round(steps) + 1 > MAX_THETA_POINTS:
+            raise ConfigError(
+                f"theta_step={self.theta_step!r} with theta_max={self.theta_max!r} gives "
+                f"{steps + 1:.4g} theta points, more than {MAX_THETA_POINTS}")
         if self.baseline_k() < 1:
             raise ConfigError("k must be >= 1")
         if self.seed < 0:

@@ -8,6 +8,7 @@ its normalized consumption: rate = sum_t p[t]*l[t] / sum_t l[t].
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -28,6 +29,9 @@ class CostModel:
     c: float = 0.0
 
     def __post_init__(self):
+        for name, value in (("a", self.a), ("b", self.b), ("c", self.c)):
+            if not math.isfinite(value):
+                raise ValueError(f"cost coefficient {name} must be finite, got {value}")
         if not self.a > 0:
             raise ValueError(f"cost curvature a must be > 0, got {self.a}")
         if self.c < 0:

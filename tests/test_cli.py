@@ -1,11 +1,13 @@
 import json
 import platform
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gridrates import __version__, acceptance, cli, vulnerability
-from gridrates.config import RunConfig
+from gridrates.config import MAX_THETA_POINTS, RunConfig
 from gridrates.errors import ConfigError, PriceWarning
 from gridrates.profiles import ingest_csv
 from gridrates.robust import SKC_MAX_DEPTH
@@ -197,23 +199,29 @@ def test_vulnerability_builds_efforts_once(tmp_path, small_config, monkeypatch,
     corpus = tmp_path / "corpus.csv"
     assert _run("cluster", "--config", small_config, "--out", tmp_path,
                 "--corpus", corpus, "--method", method) == 0
-    builds = []
-    build = vulnerability.effort_matrix
+    builds, pairs = [], []
+    build, kernel = vulnerability.effort_rows, vulnerability.switch_efforts
 
-    def counted(*args, **kwargs):
-        builds.append(kwargs.get("strict"))
-        return build(*args, **kwargs)
+    def counted_build(tariff, pop=None, strict=False):
+        builds.append(strict)
+        return build(tariff, pop, strict)
 
-    monkeypatch.setattr(cli, "effort_matrix", counted)
-    monkeypatch.setattr(vulnerability, "effort_matrix", counted)
+    def counted_kernel(d, rivals, targets):
+        pairs.append(len(d) * len(targets))
+        return kernel(d, rivals, targets)
+
+    monkeypatch.setattr(vulnerability, "effort_rows", counted_build)
+    monkeypatch.setattr(vulnerability, "switch_efforts", counted_kernel)
     assert _run("vulnerability", "--config", small_config, "--out", tmp_path,
                 "--corpus", corpus, "--clustering", tmp_path / f"clustering_{method}.json",
                 *flags) == 0
     assert builds == [bool(flags)]
+    k = json.loads((tmp_path / f"clustering_{method}.json").read_text())["k"]
+    # the kernel sees every (user, cluster) pair once; rate tariffs never call it
+    assert sum(pairs) == (300 * k if method == "profile" else 0)
 
     meta = json.loads((tmp_path / "meta_vulnerability.json").read_text())
     smooth = json.loads((tmp_path / "smoothness.json").read_text())
-    k = json.loads((tmp_path / f"clustering_{method}.json").read_text())["k"]
     assert meta["strict"] is bool(flags)
     assert meta["effort_s"] > 0
     assert meta["n_effort_pairs"] == 300 * (k - 1)
@@ -283,6 +291,104 @@ def test_theta_grid_never_passes_theta_max(tmp_path, small_config):
                 "--theta-max", 0.99, "--theta-step", 0.2) == 0
     lines = (tmp_path / "vulnerability_sweep.csv").read_text().strip().splitlines()
     assert [line.split(",")[0] for line in lines[2:]] == ["0", "0.2", "0.4", "0.6", "0.8"]
+
+
+@pytest.mark.parametrize("argv, config, field", [
+    (("cluster", "--method", "gkc", "--rho", "nan"), {}, "rho"),
+    (("cluster", "--method", "gkc", "--rho", "inf"), {}, "rho"),
+    (("vulnerability", "--theta-step", "nan"), {}, "theta_step"),
+    (("vulnerability", "--theta-step", "inf"), {}, "theta_step"),
+    (("price",), {"a": float("inf")}, "a"),
+    (("price",), {"b": float("nan")}, "b"),
+    (("price",), {"b": float("-inf")}, "b"),
+    (("price",), {"c": float("nan")}, "c"),
+    (("price",), {"c": float("inf")}, "c"),
+])
+def test_non_finite_config_is_validation_error(tmp_path, capsys, argv, config, field):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n_users": 50, **config}))   # NaN and Infinity literals
+    out = tmp_path / "out"
+    if argv[0] == "vulnerability":
+        argv += ("--clustering", tmp_path / "clustering.json")
+    assert _run(*argv, "--config", path, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert re.search(rf"validation error: .*\b{field} must be finite", err), err
+    assert list(out.glob("*")) == []
+
+
+def test_theta_grid_size_is_checked_before_it_is_built(tmp_path, capsys, monkeypatch):
+    assert len(RunConfig(theta_step=1e-5).validate().theta_grid()) == 20_001
+
+    def built(self):
+        raise AssertionError("theta grid built")
+
+    monkeypatch.setattr(RunConfig, "theta_grid", built)
+    for step, points in (("1e-9", "2e+08"), ("1e-300", "2e+299"), ("5e-324", "inf")):
+        out = tmp_path / step
+        assert _run("vulnerability", "--out", out, "--corpus", tmp_path / "corpus.csv",
+                    "--clustering", tmp_path / "clustering.json", "--theta-step", step) == 1
+        err = capsys.readouterr().err
+        assert f"theta_step={float(step)!r} with theta_max=0.2 gives {points} theta points" in err
+        assert str(MAX_THETA_POINTS) in err
+        assert list(out.glob("*")) == []
+
+
+def _result_files(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())
+            if not path.name.startswith("meta_")}
+
+
+@pytest.mark.parametrize("method, flags", [
+    ("profile", ()), ("profile", ("--strict",)), ("gkc", ()), ("skc", ()),
+])
+def test_vulnerability_files_do_not_depend_on_the_user_chunk(
+        tmp_path, small_config, monkeypatch, method, flags):
+    assert _run("datagen", "--config", small_config, "--out", tmp_path) == 0
+    corpus = tmp_path / "corpus.csv"
+    clustering = tmp_path / f"clustering_{method}.json"
+    assert _run("cluster", "--config", small_config, "--out", tmp_path,
+                "--corpus", corpus, "--method", method) == 0
+    files = {}
+    for chunk in (7, 10**6):   # 300 users: the last of 43 chunks is ragged, or one chunk
+        monkeypatch.setattr(vulnerability, "_REPORT_CHUNK", chunk)
+        assert _run("vulnerability", "--config", small_config, "--out", tmp_path / str(chunk),
+                    "--corpus", corpus, "--clustering", clustering, *flags) == 0
+        files[chunk] = _result_files(tmp_path / str(chunk))
+    assert len(files[7]) == 4 and files[7] == files[10**6]
+
+    if method != "gkc":
+        return
+    # worst_pairs keeps a stable sort by gap over the pairs in tariff order
+    cfg = RunConfig.from_file(small_config)
+    pop = ingest_csv(corpus).population
+    tariff = cli._load_clustering(clustering, cfg, pop, cli._prices_for(cfg, pop))
+    pairs = vulnerability.measure_smoothness(tariff, 0.2).pairs
+    worst = [tuple(p) for p in json.loads(files[7]["smoothness.json"])["worst_pairs"]]
+    assert worst == sorted(pairs, key=lambda p: -p[2])[:20]
+    # tied gaps whose users are out of id order and in different chunks of 7
+    ids = sorted(pop.user_ids)
+    assert any(a[2] == b[2] and a[0] > b[0] and ids.index(a[0]) // 7 != ids.index(b[0]) // 7
+               for a, b in zip(worst, worst[1:]))
+
+
+def test_vulnerability_memory_stays_flat_on_a_many_band_tariff(tmp_path):
+    # a band-tariff-sized skc tariff: 2500 users, about 200 bands
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_users": 2500, "seed": 7, "k": 30,
+                                  "corpus_overrides": {"total_range": [3200.0, 7200.0]}}))
+    corpus = tmp_path / "corpus.csv"
+    assert _run("datagen", "--config", config, "--out", tmp_path) == 0
+    assert _run("cluster", "--config", config, "--out", tmp_path,
+                "--corpus", corpus, "--method", "skc") == 0
+    assert json.loads((tmp_path / "clustering_skc.json").read_text())["k"] >= 150
+    tracemalloc.start()
+    try:
+        assert _run("vulnerability", "--config", config, "--out", tmp_path,
+                    "--corpus", corpus, "--clustering", tmp_path / "clustering_skc.json") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6
 
 
 def test_sensitivity_monotone_in_rho(tmp_path, small_config):
