@@ -52,11 +52,9 @@ from .robust import (
 )
 from .tariff import Tariff
 from .vulnerability import (
-    Efforts,
-    SmoothnessReport,
+    Audit,
     disguise_reports,
     disguised_profile,
-    effort_matrix,
     measure_smoothness,
     min_switch_effort,
     smoothness_bound,

@@ -13,6 +13,7 @@ independent optimality oracle for desk-scale instances.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -63,6 +64,11 @@ def mci_table(pop: Population, prices: PriceCurve) -> MciTable:
 RateClustering = Tariff
 
 
+def _check_rho(rho: float) -> None:
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be finite and > 0, got {rho}")
+
+
 def gkc(table: MciTable, rho: float) -> Tariff:
     """Greedy covering of the sorted rate axis by width-2*rho bands.
 
@@ -71,8 +77,7 @@ def gkc(table: MciTable, rho: float) -> Tariff:
     assigned. Deterministic, O(n log n) including the sort, and minimal in
     cluster count among all partitions meeting the band criterion.
     """
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho}")
+    _check_rho(rho)
     mcis = table.mcis
     n = mcis.size
     labels = np.empty(n, dtype=int)
@@ -134,8 +139,7 @@ def skc(
     subset's min / max rate, recursively) until every piece spans at most
     2*rho; piece prices are range midpoints.
     """
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho}")
+    _check_rho(rho)
     mcis_all = mci_matrix(prices, pop.consumption)
     base_rows = pop.rows_of(base_clustering.user_ids)
 
@@ -171,8 +175,7 @@ def minimal_clusters_oracle(table: MciTable, rho: float, cap: int = 2000) -> int
     partitions are contiguous (any band meeting the criterion spans at most
     2*rho on the rate axis), so this search space is exhaustive.
     """
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho}")
+    _check_rho(rho)
     n = table.n_users
     if n > cap:
         raise InstanceTooLarge(f"n={n} exceeds oracle cap {cap}")

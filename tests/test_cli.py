@@ -303,6 +303,8 @@ def test_theta_grid_never_passes_theta_max(tmp_path, small_config):
     (("price",), {"b": float("-inf")}, "b"),
     (("price",), {"c": float("nan")}, "c"),
     (("price",), {"c": float("inf")}, "c"),
+    (("sensitivity", "--rho-grid", "nan,0.5"), {}, "rho"),
+    (("sensitivity", "--rho-grid", "0.5,inf"), {}, "rho"),
 ])
 def test_non_finite_config_is_validation_error(tmp_path, capsys, argv, config, field):
     path = tmp_path / "config.json"
@@ -362,7 +364,11 @@ def test_vulnerability_files_do_not_depend_on_the_user_chunk(
     cfg = RunConfig.from_file(small_config)
     pop = ingest_csv(corpus).population
     tariff = cli._load_clustering(clustering, cfg, pop, cli._prices_for(cfg, pop))
-    pairs = vulnerability.measure_smoothness(tariff, 0.2).pairs
+    rows = np.arange(len(tariff.labels))
+    user, target, gap = vulnerability.report(
+        tariff.user_ids.tolist(), vulnerability.effort_rows(tariff)(rows),
+        tariff.labels, tariff.prices, 0.2).pairs
+    pairs = list(zip(tariff.user_ids[user].tolist(), target.tolist(), gap.tolist()))
     worst = [tuple(p) for p in json.loads(files[7]["smoothness.json"])["worst_pairs"]]
     assert worst == sorted(pairs, key=lambda p: -p[2])[:20]
     # tied gaps whose users are out of id order and in different chunks of 7
@@ -474,8 +480,9 @@ def test_sidecars_record_dropped_efforts_and_clustering_work(tmp_path, small_con
 
     # the reported efforts are those <= theta; the finite ones above it are dropped
     audit = meta["vulnerability"]
-    efforts = vulnerability.effort_matrix(Tariff.from_json(tariff.read_text()),
-                                          ingest_csv(corpus).population).efforts
+    profile = Tariff.from_json(tariff.read_text())
+    efforts = vulnerability.effort_rows(profile, ingest_csv(corpus).population)(
+        np.arange(len(profile.labels)))
     docs = json.loads((tmp_path / "disguise_reports.json").read_text())
     assert audit["n_reported_efforts"] == sum(len(doc["mu_per_target"]) for doc in docs)
     assert audit["n_reported_efforts"] == (efforts <= audit["theta_ref"]).sum() > 0

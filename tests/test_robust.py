@@ -151,6 +151,17 @@ def test_gkc_rejects_bad_rho():
         gkc(_table([1.0, 2.0]), rho=0.0)
 
 
+@pytest.mark.parametrize("rho", [0.0, -1.0, float("nan"), float("inf")])
+def test_rate_bands_need_a_finite_positive_rho(rho):
+    pop, prices = _pipeline(n=50, seed=9)
+    base = kmeans_profiles(pop, k=2, prices=prices, seed=0)
+    table = mci_table(pop, prices)
+    for build in (lambda: gkc(table, rho), lambda: skc(pop, prices, rho, base),
+                  lambda: minimal_clusters_oracle(table, rho)):
+        with pytest.raises(ValueError, match=rf"^rho must be finite and > 0, got {rho}$"):
+            build()
+
+
 # ---------------------------------------------------------------------------
 # optimality oracle
 # ---------------------------------------------------------------------------
