@@ -200,9 +200,10 @@ def cmd_price(args) -> int:
 
 def _write_user_rates(path, tariff: Tariff, cfg_hash) -> None:
     order = np.argsort(tariff.user_ids, kind="stable")   # code-point order of ids
-    labels = tariff.labels[order]
-    rows = list(zip(tariff.user_ids[order].tolist(), labels.tolist(),
-                    tariff.prices[labels].tolist()))
+    labels = tariff.labels[order].tolist()
+    rates = [CSV_FLOAT_FMT % price for price in tariff.prices.tolist()]   # once per cluster
+    rows = list(zip(tariff.user_ids[order].tolist(), labels,
+                    [rates[label] for label in labels]))
     _write_table(path, ["user_id", "cluster", "rate"], rows, cfg_hash)
 
 
@@ -306,13 +307,17 @@ def cmd_vulnerability(args) -> int:
     return 0
 
 
-def _parse_grid(text: str | None, default) -> list:
-    if text is None:
-        return list(default)
+def _parse_list(text: str, kind, what: str) -> list:
+    """Comma-separated values of one kind; blank entries are skipped."""
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        return [kind(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise ConfigError(f"bad grid {text!r}; expected comma-separated floats") from None
+        raise ConfigError(f"bad {what} {text!r}; expected comma-separated "
+                          f"{kind.__name__}s") from None
+
+
+def _parse_grid(text: str | None, default) -> list:
+    return list(default) if text is None else _parse_list(text, float, "grid")
 
 
 def cmd_sensitivity(args) -> int:
@@ -346,6 +351,9 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_diversity(args) -> int:
     cfg = _config_from_args(args)
+    drill = _parse_list(args.drill, int, "--drill") if args.drill else []
+    if args.drill_k < 1:
+        raise ConfigError(f"--drill-k must be >= 1, got {args.drill_k}")
     out = _out_dir(args)
     stages: dict = {}
     with _stage(stages, "load"):
@@ -353,7 +361,6 @@ def cmd_diversity(args) -> int:
         prices = _prices_for(cfg, pop)
         tariff = _load_clustering(args.clustering, cfg, pop, prices)
 
-    drill = [int(v) for v in args.drill.split(",")] if args.drill else []
     with _stage(stages, "compute"):
         sig = sigma(tariff, pop)
         sizes = [len(tariff.member_ids(j)) for j in range(tariff.k)]

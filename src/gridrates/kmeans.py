@@ -1,10 +1,31 @@
 """Profile-based k-means clustering with per-cluster rates.
 
-Standard Lloyd iteration with k-means++ seeding over normalized profiles.
-Users are processed in a canonical id order so results do not depend on
-input row order. Assignment distance is squared Euclidean by default; the
-disguise analysis uses l1 geometry, so an l1 assignment metric is
-available as an option.
+Lloyd iteration with k-means++ seeding over normalized profiles. Users are
+processed in a canonical id order so results do not depend on input row
+order. Assignment distance is squared Euclidean by default; the disguise
+analysis uses l1 geometry, so an l1 assignment metric is available as an
+option.
+
+An iteration does not build the (users x k) distance matrix:
+
+- Squared Euclidean rows rank the centers by the cross term
+  ``||c||^2 - 2 p.c``, one matrix product with no per-user constant.
+- Every user keeps Hamerly bounds (SDM 2010) in the metric's own distance
+  (Euclidean or l1): an upper bound on the distance to its center and a
+  lower bound on the distance to every other center, moved each iteration
+  by how far the centers moved. Only users whose bounds overlap get a
+  distance row; after an empty-cluster repair every user gets one.
+- The member sums, one ``np.bincount`` per slot over a contiguous copy of
+  the slot's column, give both the new centers and the objective trace.
+
+The labels are those of the plain loop that takes the argmin of
+``_distances`` every iteration, bit for bit. The bound test and the
+cross-term ranking keep a slack of many times the rounding of either
+computation, and a user whose two nearest centers lie within that slack
+is ranked by ``_distances`` itself; l1 rows are ``_distances`` rows. So
+centers, iteration count, fixpoint flag, repairs and inertia are that
+loop's too; only the objective trace, now taken from the member sums, may
+differ in its last bits.
 """
 
 from __future__ import annotations
@@ -38,11 +59,99 @@ def _distances(points: np.ndarray, centers: np.ndarray, metric: str) -> np.ndarr
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def _centers(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Member mean of each of k non-empty clusters, summed slot by slot in
-    row order: the same bits as points[labels == j].mean(axis=0)."""
-    sums = [np.bincount(labels, weights=column, minlength=k) for column in points.T]
-    return np.stack(sums, axis=1) / np.bincount(labels, minlength=k)[:, None]
+def _member_sums(columns: np.ndarray, labels: np.ndarray, k: int):
+    """(k, T) member sums and (k,) member counts of the clusters.
+
+    `columns` is the (T, n) transpose of the points, C-contiguous, so each
+    slot's bincount reads its weights in place. Each sum adds its members
+    in row order, so sums / counts has the bits of the mask means
+    points[labels == j].mean(axis=0).
+    """
+    sums = np.empty((k, columns.shape[0]))
+    for slot, column in enumerate(columns):
+        sums[:, slot] = np.bincount(labels, weights=column, minlength=k)
+    return sums, np.bincount(labels, minlength=k)
+
+
+class _Bounds:
+    """Hamerly bounds of each user, in the metric's own distance: `upper`
+    is at least the distance to its center, `lower` at most the distance
+    to every other center.
+
+    Each bound keeps a relative slack `rel`, many times the rounding of a
+    length-T dot product, sum or norm, here or in `_distances`; so the
+    squared distances `_distances` computes are off by less than
+    `_rounding`, and its l1 distances by less than rel times themselves.
+    Where the bounds are further apart than that, the argmin of the user's
+    `_distances` row is provably its own center.
+    """
+
+    def __init__(self, points: np.ndarray, metric: str):
+        self.points, self.metric = points, metric
+        self.sq = metric == "sqeuclidean"
+        self.norms = (points**2).sum(axis=1)
+        self.norm_max = self.norms.max()
+        self.rel = 8.0 * (points.shape[1] + 4) * np.finfo(float).eps
+        self.upper = np.empty(len(points))
+        self.lower = np.empty(len(points))
+
+    def _rounding(self, sq_centers: np.ndarray) -> float:
+        """A bound on the rounding of any squared distance; 0 for l1."""
+        return self.rel * (self.norm_max + sq_centers.max()) if self.sq else 0.0
+
+    def assign(self, rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
+        """Label `rows` as `_distances(points, centers).argmin(axis=1)` does,
+        and set their bounds."""
+        # (k, rows) values, so the reductions over centers run along rows
+        sq_centers = (centers**2).sum(axis=1)
+        if self.sq:
+            # ||c||^2 - 2 c.p: the squared distance less the row's ||p||^2
+            values = (-2.0 * centers) @ self.points[rows].T
+            values += sq_centers[:, None]
+        else:
+            values = np.ascontiguousarray(_distances(self.points[rows], centers, self.metric).T)
+        first = values.min(axis=0)
+        best = (values == first).argmax(axis=0)   # the first nearest, as argmin
+        values[best, np.arange(rows.size)] = np.inf
+        second = values.min(axis=0)                # inf at k = 1
+        if self.sq:
+            err = self._rounding(sq_centers)
+            near = second - first <= 4.0 * err
+            if near.any():
+                # rounding may rank these centers unlike `_distances`: ask it,
+                # and leave the users no lower bound
+                full = _distances(self.points, centers, self.metric)
+                best[near] = full[rows[near]].argmin(axis=1)
+                second[near] = -np.inf
+            norms = self.norms[rows]
+            first = np.sqrt(np.maximum(first + norms + err, 0.0))
+            second = np.sqrt(np.maximum(second + norms - err, 0.0))
+        self.upper[rows] = first * (1.0 + self.rel)
+        self.lower[rows] = second * (1.0 - self.rel)
+        return best
+
+    def move(self, old: np.ndarray, new: np.ndarray, labels: np.ndarray) -> None:
+        """Loosen the bounds by how far each center moved from old to new."""
+        step = new - old
+        if self.sq:
+            drift = np.sqrt((step**2).sum(axis=1))
+        else:
+            drift = np.abs(step).sum(axis=1)
+        drift *= 1.0 + self.rel
+        self.upper += drift[labels]
+        self.upper *= 1.0 + self.rel
+        self.lower -= drift.max()
+        self.lower *= 1.0 - self.rel
+
+    def unsure(self, centers: np.ndarray) -> np.ndarray:
+        """The users whose own center the bounds do not prove nearest.
+
+        With lower - upper > sqrt(2 * rounding), the squared distances
+        differ by more than (lower - upper)^2 > 2 * rounding.
+        """
+        margin = np.sqrt(2.0 * self._rounding((centers**2).sum(axis=1)))
+        gap = self.lower * (1.0 - self.rel) - self.upper * (1.0 + self.rel)
+        return np.flatnonzero(gap <= margin)
 
 
 def _plusplus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -105,21 +214,35 @@ def kmeans_profiles(
     rng = np.random.default_rng(seed)
     centers = _plusplus_seed(points, k, rng)
 
+    n = points.shape[0]
+    bounds = _Bounds(points, metric)
+    columns = np.ascontiguousarray(points.T)
+    total = bounds.norms.sum()
+
     labels = None
     trace = []
     converged = False
     fixpoint = False
     n_iter = 0
     repairs = 0
+    every_row = True   # no bounds yet, or a repair moved labels they do not follow
     for n_iter in range(1, max_iters + 1):
-        dist = _distances(points, centers, metric)
-        new_labels = dist.argmin(axis=1)
-        empty = [j for j in range(k) if not np.any(new_labels == j)]
-        repaired = bool(empty)
+        if every_row:
+            rows, new_labels = np.arange(n), np.empty(n, dtype=np.intp)
+        else:
+            rows, new_labels = bounds.unsure(centers), labels.copy()
+        new_labels[rows] = bounds.assign(rows, centers)
+        sums, counts = _member_sums(columns, new_labels, k)
+        repaired = not counts.all()
         if repaired:
+            empty = np.flatnonzero(counts == 0).tolist()
+            dist = _distances(points, centers, metric)
             new_labels, centers = _repair_empty(new_labels, dist, centers, points, empty)
             repairs += len(empty)
-        trace.append(float(((points - centers[new_labels]) ** 2).sum()))
+            sums, counts = _member_sums(columns, new_labels, k)
+        # the sum of ||p - c||^2 over users, expanded around the member sums
+        trace.append(float(total - 2.0 * (centers * sums).sum()
+                           + counts @ (centers**2).sum(axis=1)))
         same = labels is not None and np.array_equal(new_labels, labels)
         stable = same and not repaired
         labels = new_labels
@@ -128,15 +251,15 @@ def kmeans_profiles(
         if stable or (converged and not repaired):
             fixpoint = stable
             break
-        new_centers = _centers(points, labels, k)
+        new_centers = sums / counts[:, None]
         converged = np.abs(new_centers - centers).max() < CENTER_TOL
+        bounds.move(centers, new_centers, labels)
+        every_row = repaired
         centers = new_centers
         if repaired and same:
             # the entering centers were the member means of these labels too,
             # so every later iteration would repeat this repair
             break
-    else:
-        centers = _centers(points, labels, k)
     inertia = float(((points - centers[labels]) ** 2).sum())
 
     return Tariff(

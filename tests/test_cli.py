@@ -430,6 +430,32 @@ def test_diversity_sigma_and_drill(tmp_path, small_config):
     assert sub["kind"] == "profile"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--drill", "x"), "bad --drill 'x'; expected comma-separated ints"),
+    (("--drill", "0,1.5"), "bad --drill '0,1.5'"),
+    (("--drill-k", "0"), "--drill-k must be >= 1, got 0"),
+    (("--drill-k", "-2"), "--drill-k must be >= 1, got -2"),
+])
+def test_diversity_flag_errors_name_the_flag(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    assert _run("diversity", "--out", out, "--corpus", tmp_path / "corpus.csv",
+                "--clustering", tmp_path / "clustering.json", "--drill", "0", *flags) == 1
+    assert f"validation error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diversity_drill_skips_blank_entries_as_grids_do(tmp_path, small_config):
+    assert _run("datagen", "--config", small_config, "--out", tmp_path) == 0
+    corpus = tmp_path / "corpus.csv"
+    assert _run("cluster", "--config", small_config, "--out", tmp_path,
+                "--corpus", corpus, "--method", "gkc") == 0
+    assert _run("diversity", "--config", small_config, "--out", tmp_path / "d",
+                "--corpus", corpus, "--clustering", tmp_path / "clustering_gkc.json",
+                "--drill", "0,,1,") == 0
+    assert sorted(p.name for p in (tmp_path / "d").glob("subclusters_*")) == [
+        "subclusters_0.json", "subclusters_1.json"]
+
+
 def test_every_sidecar_records_peak_memory_and_versions(tmp_path, small_config, monkeypatch):
     monkeypatch.setattr(acceptance, "run_all", lambda out_dir, emit: [])   # verify, not its criteria
     corpus = tmp_path / "corpus.csv"

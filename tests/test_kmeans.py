@@ -14,6 +14,7 @@ from gridrates import (
     sigma,
 )
 from gridrates import kmeans
+from gridrates.errors import EmptyClusterRepairFailed
 
 
 def _random_population(n, t=24, seed=0):
@@ -95,7 +96,8 @@ def test_centers_equal_mask_means_bitwise(seed):
     points = rng.dirichlet(np.ones(int(rng.integers(1, 30))), size=n)
     labels = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
     expected = np.vstack([points[labels == j].mean(axis=0) for j in range(k)])
-    got = kmeans._centers(points, labels, k)
+    sums, counts = kmeans._member_sums(np.ascontiguousarray(points.T), labels, k)
+    got = sums / counts[:, None]
     assert got.shape == expected.shape
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
@@ -166,3 +168,206 @@ def test_sigma_matches_member_loop_oracle():
         expected = sum(dists) / len(dists)
         assert got[j] == pytest.approx(expected, rel=1e-12)
     assert np.all(got >= 0) and np.all(got <= 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the plain Lloyd loop: a full distance matrix and its argmin every iteration
+# ---------------------------------------------------------------------------
+
+def _reference_distances(points, centers, metric):
+    if metric == "sqeuclidean":
+        d = (
+            (points**2).sum(axis=1)[:, None]
+            + (centers**2).sum(axis=1)[None, :]
+            - 2.0 * points @ centers.T
+        )
+        return np.maximum(d, 0.0)
+    if metric == "l1":
+        return np.abs(points[:, None, :] - centers[None, :, :]).sum(axis=2)
+    raise ValueError(f"unknown metric {metric!r}")
+
+
+def _reference_centers(points, labels, k):
+    sums = [np.bincount(labels, weights=column, minlength=k) for column in points.T]
+    return np.stack(sums, axis=1) / np.bincount(labels, minlength=k)[:, None]
+
+
+def _reference_repair_empty(labels, dist, centers, points, empty_clusters):
+    taken = set()
+    assigned_dist = dist[np.arange(points.shape[0]), labels]
+    order = np.argsort(-assigned_dist, kind="stable")
+    for j in empty_clusters:
+        for idx in order:
+            if int(idx) not in taken and np.sum(labels == labels[idx]) > 1:
+                taken.add(int(idx))
+                centers[j] = points[idx]
+                labels[idx] = j
+                break
+        else:
+            raise EmptyClusterRepairFailed(f"no donor point for empty cluster {j}")
+    return labels, centers
+
+
+def _reference_kmeans(pop, k, seed=0, max_iters=100, metric="sqeuclidean"):
+    """(labels, centers, n_iter, label_fixpoint, empty_cluster_repairs,
+    inertia, objective_trace) of the loop `kmeans_profiles` ran before its
+    Hamerly bounds."""
+    order = sorted(range(pop.n_users), key=lambda i: pop.user_ids[i])
+    points = pop.normalized()[order]
+
+    rng = np.random.default_rng(seed)
+    centers = kmeans._plusplus_seed(points, k, rng)
+
+    labels = None
+    trace = []
+    converged = False
+    fixpoint = False
+    n_iter = 0
+    repairs = 0
+    for n_iter in range(1, max_iters + 1):
+        dist = _reference_distances(points, centers, metric)
+        new_labels = dist.argmin(axis=1)
+        empty = [j for j in range(k) if not np.any(new_labels == j)]
+        repaired = bool(empty)
+        if repaired:
+            new_labels, centers = _reference_repair_empty(new_labels, dist, centers, points, empty)
+            repairs += len(empty)
+        trace.append(float(((points - centers[new_labels]) ** 2).sum()))
+        same = labels is not None and np.array_equal(new_labels, labels)
+        stable = same and not repaired
+        labels = new_labels
+        if stable or (converged and not repaired):
+            fixpoint = stable
+            break
+        new_centers = _reference_centers(points, labels, k)
+        converged = np.abs(new_centers - centers).max() < kmeans.CENTER_TOL
+        centers = new_centers
+        if repaired and same:
+            break
+    else:
+        centers = _reference_centers(points, labels, k)
+    inertia = float(((points - centers[labels]) ** 2).sum())
+    return labels, centers, n_iter, fixpoint, repairs, inertia, trace
+
+
+def _corpus(n, seed):
+    return generate_corpus(residential_spec(n, seed=seed, total_range=(8e6 / n, 1.8e7 / n)))
+
+
+def _duplicates():
+    mat = np.vstack([np.full((6, 4), 0.25), np.tile([0.7, 0.1, 0.1, 0.1], (6, 1))])
+    return Population([f"u{i}" for i in range(12)], mat)
+
+
+def _clumps(seed):
+    """Users at a few shared profiles, some pushed off them: more clusters
+    than distinct places, so k-means reseeds empty clusters mid-run."""
+    rng = np.random.default_rng(seed)
+    places = rng.dirichlet(np.ones(6), size=int(rng.integers(2, 5)))
+    n = int(rng.integers(20, 60))
+    mat = places[rng.integers(0, len(places), n)]
+    pushed = rng.random(n) < 0.4
+    mat[pushed] += rng.uniform(0, 0.3, (pushed.sum(), 6))
+    return Population([f"u{i:03d}" for i in range(n)], mat)
+
+
+KMEANS_CASES = {
+    **{f"2500-k30-seed{s}": (lambda s=s: _corpus(2500, s), 30, s, "sqeuclidean")
+       for s in range(1, 5)},
+    "100-k8": (lambda: _corpus(100, 5), 8, 5, "sqeuclidean"),
+    "duplicates-repair": (_duplicates, 3, 0, "sqeuclidean"),
+    "repair-every-iteration-l1": (lambda: _clumps(150), 10, 150, "l1"),
+    "l1-600-k12": (lambda: _corpus(600, 6), 12, 6, "l1"),
+    "l1-200-k5": (lambda: _corpus(200, 3), 5, 3, "l1"),
+    "k1": (lambda: _corpus(300, 7), 1, 7, "sqeuclidean"),
+    "k1-l1": (lambda: _corpus(300, 7), 1, 7, "l1"),
+    "k-equals-n": (lambda: _random_population(40, seed=8), 40, 2, "sqeuclidean"),
+    "k-equals-n-l1": (lambda: _random_population(40, seed=8), 40, 2, "l1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KMEANS_CASES))
+def test_bounded_loop_equals_plain_loop_bitwise(case):
+    make, k, seed, metric = KMEANS_CASES[case]
+    pop = make()
+    out = kmeans_profiles(pop, k=k, seed=seed, metric=metric)
+    labels, centers, n_iter, fixpoint, repairs, inertia, trace = _reference_kmeans(
+        pop, k, seed=seed, metric=metric)
+    assert np.array_equal(out.labels, labels)
+    assert out.centers.view(np.uint64).tolist() == centers.view(np.uint64).tolist()
+    assert (out.n_iter, out.label_fixpoint, out.empty_cluster_repairs) == (n_iter, fixpoint, repairs)
+    assert out.inertia == inertia
+    # the trace comes from the member sums now: equal up to the rounding of
+    # sum ||p||^2, which it is a difference from
+    scale = float((pop.normalized() ** 2).sum())
+    np.testing.assert_allclose(out.objective_trace, trace, rtol=1e-9, atol=1e-12 * scale)
+
+
+def test_repairs_mid_run_are_covered():
+    out = kmeans_profiles(_clumps(150), k=10, seed=150, metric="l1")
+    assert out.empty_cluster_repairs == out.n_iter == 100
+
+
+@pytest.mark.parametrize("metric", kmeans.ASSIGNMENT_METRICS)
+def test_bounds_skip_distance_rows(monkeypatch, metric):
+    # a fall-back to a full row for every user every iteration fails here
+    counted = []
+    assign = kmeans._Bounds.assign
+
+    def counting(self, rows, centers):
+        counted.append(rows.size)
+        return assign(self, rows, centers)
+
+    monkeypatch.setattr(kmeans._Bounds, "assign", counting)
+    pop = _corpus(2500, 1)
+    out = kmeans_profiles(pop, k=30, seed=1, metric=metric)
+    assert len(counted) == out.n_iter > 10
+    assert counted[0] == pop.n_users
+    assert sum(counted) < 0.6 * pop.n_users * out.n_iter
+
+
+def test_near_ties_are_ranked_as_the_full_distances_rank_them():
+    # users on the bisector of two centers: the cross term alone ranks some
+    # of them unlike the full squared distance; the bounds must not
+    rng = np.random.default_rng(0)
+    centers = rng.dirichlet(np.ones(24), size=3)
+    normal = centers[1] - centers[0]
+    mid = 0.5 * (centers[0] + centers[1])
+    points = rng.dirichlet(np.ones(24), size=4000)
+    points -= ((points - mid) @ normal)[:, None] * normal / (normal @ normal)
+    expected = _reference_distances(points, centers, "sqeuclidean").argmin(axis=1)
+    cross = ((centers**2).sum(axis=1) - 2.0 * points @ centers.T).argmin(axis=1)
+    assert (cross != expected).any()
+    bounds = kmeans._Bounds(points, "sqeuclidean")
+    rows = np.arange(len(points))
+    assert np.array_equal(bounds.assign(rows, centers), expected)
+    # a user whose two nearest centers tie gets no lower bound
+    assert np.all(bounds.lower[cross != expected] == 0.0)
+    assert set(np.flatnonzero(cross != expected)) <= set(bounds.unsure(centers))
+
+
+def _exact_distances(points, centers, metric):
+    """Distances in extended precision, far finer than the bounds' slack."""
+    step = points.astype(np.longdouble)[:, None, :] - centers.astype(np.longdouble)[None]
+    if metric == "sqeuclidean":
+        return np.sqrt((step**2).sum(axis=2))
+    return np.abs(step).sum(axis=2)
+
+
+@pytest.mark.parametrize("metric", kmeans.ASSIGNMENT_METRICS)
+def test_bounds_hold_after_center_moves(metric):
+    rng = np.random.default_rng(4)
+    points = rng.dirichlet(np.ones(24), size=500)
+    centers = rng.dirichlet(np.ones(24), size=9)
+    bounds = kmeans._Bounds(points, metric)
+    labels = bounds.assign(np.arange(len(points)), centers)
+    for _ in range(5):
+        exact = _exact_distances(points, centers, metric)
+        own = exact[np.arange(len(points)), labels]
+        exact[np.arange(len(points)), labels] = np.inf
+        assert np.all(bounds.upper >= own)
+        assert np.all(bounds.lower <= exact.min(axis=1))
+        moved = np.abs(centers + rng.normal(0.0, 0.01, centers.shape))
+        moved /= moved.sum(axis=1, keepdims=True)
+        bounds.move(centers, moved, labels)
+        centers = moved
