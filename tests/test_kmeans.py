@@ -271,12 +271,23 @@ def _clumps(seed):
     return Population([f"u{i:03d}" for i in range(n)], mat)
 
 
+def _quantized(seed):
+    """Profiles of small whole numbers: users tie exactly between centers."""
+    rng = np.random.default_rng(seed)
+    t, n = int(rng.integers(3, 12)), int(rng.integers(50, 300))
+    mat = rng.integers(0, 4, size=(n, t)).astype(float)
+    mat[mat.sum(axis=1) == 0, 0] = 1.0
+    return Population([f"u{i:04d}" for i in range(n)], mat)
+
+
 KMEANS_CASES = {
     **{f"2500-k30-seed{s}": (lambda s=s: _corpus(2500, s), 30, s, "sqeuclidean")
        for s in range(1, 5)},
     "100-k8": (lambda: _corpus(100, 5), 8, 5, "sqeuclidean"),
     "duplicates-repair": (_duplicates, 3, 0, "sqeuclidean"),
     "repair-every-iteration-l1": (lambda: _clumps(150), 10, 150, "l1"),
+    "quantized-ties": (lambda: _quantized(2000), 18, 0, "sqeuclidean"),
+    "quantized-ties-l1": (lambda: _quantized(2000), 18, 0, "l1"),
     "l1-600-k12": (lambda: _corpus(600, 6), 12, 6, "l1"),
     "l1-200-k5": (lambda: _corpus(200, 3), 5, 3, "l1"),
     "k1": (lambda: _corpus(300, 7), 1, 7, "sqeuclidean"),
@@ -344,6 +355,22 @@ def test_near_ties_are_ranked_as_the_full_distances_rank_them():
     # a user whose two nearest centers tie gets no lower bound
     assert np.all(bounds.lower[cross != expected] == 0.0)
     assert set(np.flatnonzero(cross != expected)) <= set(bounds.unsure(centers))
+
+
+def test_exact_ties_in_a_run_are_ranked_by_the_full_distances(monkeypatch):
+    rows = []
+    distances = kmeans._distances
+
+    def counting(points, centers, metric):
+        rows.append(len(points))
+        return distances(points, centers, metric)
+
+    monkeypatch.setattr(kmeans, "_distances", counting)
+    pop = _quantized(2000)
+    out = kmeans_profiles(pop, k=18, seed=0)
+    # no repair ran, so every full distance matrix served a near tie
+    assert out.empty_cluster_repairs == 0
+    assert pop.n_users in rows
 
 
 def _exact_distances(points, centers, metric):
