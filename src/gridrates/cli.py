@@ -300,6 +300,7 @@ def cmd_vulnerability(args) -> int:
                 **excluded, nonpositive_prices=_nonpositive_prices(curve),
                 stages=stages, theta_ref=theta_ref, strict=args.strict,
                 effort_s=audit.effort_s, n_effort_pairs=len(tariff.labels) * (tariff.k - 1),
+                n_exact_pairs=audit.n_exact_pairs,
                 n_unreachable_pairs=audit.n_unreachable,
                 n_reported_efforts=files.n_reported,
                 n_degenerate_targets=degenerate_targets(tariff),

@@ -44,6 +44,8 @@ ASSIGNMENT_METRICS = ("sqeuclidean", "l1")
 Clustering = Tariff
 # centers that move less than this (max abs coordinate) count as converged
 CENTER_TOL = 1e-9
+# floats in one (users, k, T) block of the l1 distances' temporary, 2 MB
+_L1_BLOCK_FLOATS = 262_144
 
 
 def _distances(points: np.ndarray, centers: np.ndarray, metric: str) -> np.ndarray:
@@ -55,7 +57,13 @@ def _distances(points: np.ndarray, centers: np.ndarray, metric: str) -> np.ndarr
         )
         return np.maximum(d, 0.0)
     if metric == "l1":
-        return np.abs(points[:, None, :] - centers[None, :, :]).sum(axis=2)
+        # by blocks of users: each cell is the same contiguous sum over T
+        dist = np.empty((len(points), len(centers)))
+        step = max(1, _L1_BLOCK_FLOATS // centers.size)
+        for start in range(0, len(points), step):
+            block = points[start:start + step, None, :] - centers[None, :, :]
+            dist[start:start + step] = np.abs(block, out=block).sum(axis=2)
+        return dist
     raise ValueError(f"unknown metric {metric!r}")
 
 

@@ -170,32 +170,34 @@ def _body_chunks(fh, path, horizon: int):
     it raises.
 
     Iterating `fh` (opened with newline="") ends a line at CR, LF or CRLF,
-    where csv ends a record outside quotes. So a chunk of lines with
-    `horizon` commas on every line and no character of `_CSV_ONLY` is one
-    row per line, and np.loadtxt reads its cells. Where both accept a cell,
-    np.loadtxt and float() give the same double; a cell np.loadtxt rejects
-    (`1_0`, non-ASCII digits, a bad cell) sends its chunk to csv.reader, as
-    does any other chunk. csv.reader reads on past the chunk's last line
-    while a quoted field holds a line break.
+    where csv ends a record outside quotes. So in a chunk of lines with no
+    character of `_CSV_ONLY`, each line split at its first comma is one
+    row: np.loadtxt reads the tails after the ids, and as it raises on
+    ragged tails and skips blank ones, a (lines, horizon) shape shows that
+    every line had `horizon` cells. Where both accept a cell, np.loadtxt and
+    float() give the same double; a cell np.loadtxt rejects (`1_0`,
+    non-ASCII digits, a bad cell) sends its chunk to csv.reader, as does any
+    other chunk. csv.reader reads on past the chunk's last line while a
+    quoted field holds a line break.
     """
     chunk_rows = max(1, _CHUNK_CELLS // horizon)
-    usecols = range(1, horizon + 1)
     first_row = 2
     while lines := list(islice(fh, chunk_rows)):
         error = None
         cells = None
         text = "".join(lines)
-        # a line with too few commas makes np.loadtxt raise, so with this
-        # total no line has too many
-        if (text.count(",") == horizon * len(lines)
-                and not any(c in text for c in _CSV_ONLY)):
+        parts = [line.partition(",") for line in lines]
+        tails = [tail for _, _, tail in parts]
+        # np.loadtxt warns on a chunk of blank tails: csv.reader has those
+        if not any(c in text for c in _CSV_ONLY) and any(map(str.strip, tails)):
             try:
-                cells = np.loadtxt(lines, delimiter=",", usecols=usecols, comments=None,
-                                   ndmin=2, dtype=float)
+                cells = np.loadtxt(tails, delimiter=",", comments=None, ndmin=2, dtype=float)
             except ValueError:
                 pass   # a cell it rejects: csv.reader and float() decide
+            if cells is not None and cells.shape != (len(lines), horizon):
+                cells = None
         if cells is not None:
-            ids = [line.partition(",")[0].strip() for line in lines]
+            ids = [uid.strip() for uid, _, _ in parts]
             if not all(ids):
                 bad = ids.index("")
                 error = MalformedRow(first_row + bad, "missing user_id")
@@ -274,12 +276,18 @@ def ingest_csv(path) -> IngestResult:
                     raise MalformedRow(row_number, f"duplicate user_id {uid!r}")
                 if kept:
                     seen.add(uid)
-        kept_ids = list(compress(ids, keep.tolist()))
-        seen.update(kept_ids)
-        user_ids.extend(kept_ids)
-        excluded.extend((first_row + i, _EXCLUSION_REASONS[reasons[i]])
-                        for i in np.flatnonzero(~keep).tolist())
-        blocks.append(values[keep])
+        if keep.all():
+            # a copy all the same: holding np.loadtxt's own arrays raised the
+            # peak RSS of repeated ingests
+            values = values.copy()
+        else:
+            ids = list(compress(ids, keep.tolist()))
+            excluded.extend((first_row + i, _EXCLUSION_REASONS[reasons[i]])
+                            for i in np.flatnonzero(~keep).tolist())
+            values = values[keep]
+        seen.update(ids)
+        user_ids.extend(ids)
+        blocks.append(values)
 
     try:
         with open(path, newline="", encoding="utf-8") as fh:

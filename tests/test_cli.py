@@ -202,13 +202,15 @@ def test_vulnerability_builds_efforts_once(tmp_path, small_config, monkeypatch,
     builds, pairs = [], []
     build, kernel = vulnerability.effort_rows, vulnerability.switch_efforts
 
-    def counted_build(tariff, pop=None, strict=False):
+    def counted_build(tariff, pop=None, strict=False, theta=None):
         builds.append(strict)
-        return build(tariff, pop, strict)
+        return build(tariff, pop, strict, theta)
 
-    def counted_kernel(d, rivals, targets):
-        pairs.append(len(d) * len(targets))
-        return kernel(d, rivals, targets)
+    def counted_kernel(d, rivals, targets, pairs_of=None):
+        user, target = (np.divmod(np.arange(len(d) * len(targets)), len(targets))
+                        if pairs_of is None else pairs_of)
+        pairs.extend(zip(map(bytes, d[user]), target.tolist()))
+        return kernel(d, rivals, targets, pairs_of)
 
     monkeypatch.setattr(vulnerability, "effort_rows", counted_build)
     monkeypatch.setattr(vulnerability, "switch_efforts", counted_kernel)
@@ -217,14 +219,20 @@ def test_vulnerability_builds_efforts_once(tmp_path, small_config, monkeypatch,
                 *flags) == 0
     assert builds == [bool(flags)]
     k = json.loads((tmp_path / f"clustering_{method}.json").read_text())["k"]
-    # the kernel sees every (user, cluster) pair once; rate tariffs never call it
-    assert sum(pairs) == (300 * k if method == "profile" else 0)
+    # the kernel sees each (profile, cluster) pair at most once, and only the
+    # pairs a report reads; rate tariffs never call it
+    assert len(set(pairs)) == len(pairs)
+    if method == "profile":
+        assert 0 < len(pairs) < 300 * k
+    else:
+        assert pairs == []
 
     meta = json.loads((tmp_path / "meta_vulnerability.json").read_text())
     smooth = json.loads((tmp_path / "smoothness.json").read_text())
     assert meta["strict"] is bool(flags)
     assert meta["effort_s"] > 0
     assert meta["n_effort_pairs"] == 300 * (k - 1)
+    assert meta["n_exact_pairs"] == len(pairs)
     assert 0 <= meta["n_degenerate_targets"] <= meta["n_unreachable_pairs"]
     assert meta["n_unreachable_pairs"] < meta["n_effort_pairs"]
     assert meta["n_reachable_pairs"] == smooth["n_reachable_pairs"]

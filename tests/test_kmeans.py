@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -312,6 +314,28 @@ def test_bounded_loop_equals_plain_loop_bitwise(case):
     # sum ||p||^2, which it is a difference from
     scale = float((pop.normalized() ** 2).sum())
     np.testing.assert_allclose(out.objective_trace, trace, rtol=1e-9, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("budget", [1, 5 * 7 * 24, kmeans._L1_BLOCK_FLOATS])
+def test_l1_distances_by_blocks_equal_the_whole_matrix_bitwise(monkeypatch, budget):
+    # one user per block, blocks of 5 with a ragged last one, and one block
+    points = _random_population(103, seed=9).normalized()
+    centers = points[[3, 50, 50, 77, 90, 1, 2]]
+    monkeypatch.setattr(kmeans, "_L1_BLOCK_FLOATS", budget)
+    got = kmeans._distances(points, centers, "l1")
+    expected = _reference_distances(points, centers, "l1")
+    assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+def test_l1_distances_keep_memory_flat():
+    points = _random_population(4000, seed=10).normalized()
+    centers = points[:30]
+    tracemalloc.start()
+    kmeans._distances(points, centers, "l1")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # the whole (n, k, T) difference would be 23 MB; the result is 1 MB
+    assert peak < 6e6
 
 
 def test_repairs_mid_run_are_covered():

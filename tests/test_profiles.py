@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -404,6 +405,25 @@ def test_ingest_across_chunk_boundaries(tmp_path, monkeypatch):
     path.write_text("user_id,t0,t1\n" + "\n".join(rows) + "\n")
     with pytest.raises(MalformedRow, match="row 9: duplicate user_id 'u1'"):
         ingest_csv(path)
+
+
+@pytest.mark.parametrize("body", [
+    "a,1\nb,\n\n",                 # a chunk of one blank line, after a full one
+    "a,\nb,\n",                    # chunks of empty cells: the tails are blank
+    "a\nb\n",                      # no comma at all
+    "a,1\nb, \n",                  # a tail of whitespace
+    "a,1,2\nb,3,4\n",              # ragged in the same way on every line
+    "a,1\nb,1,2\nc\nd,4\n",        # the commas add up, the lines do not
+])
+def test_ingest_reads_odd_tails_as_csv_without_a_warning(tmp_path, monkeypatch, body):
+    # np.loadtxt skips blank tails, warns when a chunk has only those and
+    # raises on ragged ones; csv.reader decides all of these
+    monkeypatch.setattr(profiles, "_CHUNK_CELLS", 2)
+    path = tmp_path / "pop.csv"
+    path.write_text("user_id,t0\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(ingest_csv, path) == _outcome(_reference_ingest_csv, path)
 
 
 @pytest.mark.parametrize("bad_row", ["x,1,2,3", ",1,2"])
