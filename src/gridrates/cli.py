@@ -364,7 +364,7 @@ def cmd_diversity(args) -> int:
 
     with _stage(stages, "compute"):
         sig = sigma(tariff, pop)
-        sizes = [len(tariff.member_ids(j)) for j in range(tariff.k)]
+        sizes = np.bincount(tariff.labels, minlength=tariff.k).tolist()
         cluster_prices = (
             tariff.prices if tariff.prices is not None else [float("nan")] * tariff.k
         )
@@ -387,7 +387,8 @@ def cmd_diversity(args) -> int:
                 sub_tariff.to_json() + "\n", encoding="utf-8")
     _write_meta(out, "diversity", cfg, n_users=pop.n_users,
                 **excluded, nonpositive_prices=_nonpositive_prices(prices),
-                stages=stages, drilled=drill)
+                stages=stages, drilled=drill,
+                drill_kmeans={str(j): _kmeans_facts(sub) for j, sub in inner.items()})
     return 0
 
 

@@ -161,13 +161,23 @@ def _parse_chunk(cells, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     return values, np.where(failed.any(axis=0), failed.argmax(axis=0), -1)
 
 
+def _id_problem(uid: str) -> str | None:
+    """Why a stripped user id ends the body, or None. A NUL is refused
+    because numpy str arrays drop trailing NULs, which would merge ids."""
+    if not uid:
+        return "missing user_id"
+    if "\x00" in uid:
+        return "user_id contains NUL"
+    return None
+
+
 def _body_chunks(fh, path, horizon: int):
     """The rows after the header, a chunk at a time: (number of the first
     row, each row's stripped user id, the rows' cells, None). The cells are
     an array from np.loadtxt, or a list of strings from csv.reader (see
-    `_parse_chunk`). A row of the wrong length or without an id ends the
-    body: its chunk holds the rows before it, and in place of None the error
-    it raises.
+    `_parse_chunk`). A row of the wrong length, without an id or with a NUL
+    in its id ends the body: its chunk holds the rows before it, and in
+    place of None the error it raises.
 
     Iterating `fh` (opened with newline="") ends a line at CR, LF or CRLF,
     where csv ends a record outside quotes. So in a chunk of lines with no
@@ -198,10 +208,11 @@ def _body_chunks(fh, path, horizon: int):
                 cells = None
         if cells is not None:
             ids = [uid.strip() for uid, _, _ in parts]
-            if not all(ids):
-                bad = ids.index("")
-                error = MalformedRow(first_row + bad, "missing user_id")
-                ids, cells = ids[:bad], cells[:bad]
+            if not all(ids) or "\x00" in text:
+                bad = next((i for i, uid in enumerate(ids) if _id_problem(uid)), None)
+                if bad is not None:
+                    error = MalformedRow(first_row + bad, _id_problem(ids[bad]))
+                    ids, cells = ids[:bad], cells[:bad]
         else:
             ids, cells = [], []
             reader = csv.reader(chain(lines, fh))
@@ -212,8 +223,8 @@ def _body_chunks(fh, path, horizon: int):
                     error = InconsistentHorizon(f"{path} row {row_number}: {problem}")
                     break
                 uid = row[0].strip()
-                if not uid:
-                    error = MalformedRow(row_number, "missing user_id")
+                if problem := _id_problem(uid):
+                    error = MalformedRow(row_number, problem)
                     break
                 ids.append(uid)
                 cells.extend(row[1:])
@@ -244,9 +255,10 @@ def ingest_csv(path) -> IngestResult:
     Rows with empty, non-numeric, infinite or negative cells, and rows
     with zero total consumption, are dropped and counted. A row whose field
     count disagrees with the header raises InconsistentHorizon; a missing
-    or duplicate user id raises MalformedRow. Rows are judged in order, so
-    the first bad row in the file decides the error. A byte that is not
-    UTF-8 raises ValueError naming its line, once reading reaches it.
+    or duplicate user id, or one holding a NUL, raises MalformedRow. Rows
+    are judged in order, so the first bad row in the file decides the
+    error. A byte that is not UTF-8 raises ValueError naming its line, once
+    reading reaches it.
 
     The body is read in chunks of about `_CHUNK_CELLS` cells. np.loadtxt
     reads a chunk whose lines hold no quote and exactly one field per header

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gridrates import __version__, acceptance, cli, vulnerability
+from gridrates import Population, __version__, acceptance, cli, kmeans_profiles, vulnerability
 from gridrates.config import MAX_THETA_POINTS, RunConfig
 from gridrates.errors import ConfigError, PriceWarning
 from gridrates.profiles import ingest_csv
@@ -436,6 +436,18 @@ def test_diversity_sigma_and_drill(tmp_path, small_config):
     assert all(0.0 <= s <= 2.0 for s in sigmas)
     sub = json.loads((tmp_path / "subclusters_0.json").read_text())
     assert sub["kind"] == "profile"
+    # the sidecar says whether the drill-down's k-means converged: the facts
+    # of the same run on the cluster's members
+    members = [uid for cluster in sub["clusters"] for uid in cluster["members"]]
+    pop = ingest_csv(corpus).population
+    rerun = kmeans_profiles(Population(members, pop.consumption[pop.rows_of(members)]),
+                            k=3, seed=17)
+    meta = json.loads((tmp_path / "meta_diversity.json").read_text())
+    assert meta["drilled"] == [0]
+    assert meta["drill_kmeans"] == {"0": {
+        "n_iter": rerun.n_iter, "label_fixpoint": rerun.label_fixpoint,
+        "inertia": rerun.inertia, "empty_cluster_repairs": rerun.empty_cluster_repairs}}
+    assert meta["drill_kmeans"]["0"]["n_iter"] >= 1
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -566,6 +578,21 @@ def test_non_utf8_corpus_names_file_and_line(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"gridrates: validation error: {corpus} line 32: byte 0xe9 is not UTF-8 "
         "(invalid continuation byte)\n")
+
+
+@pytest.mark.parametrize("spelling", ["u0004\x00", '"u0004\x00"'])
+def test_user_id_with_nul_is_validation_error(tmp_path, capsys, spelling):
+    # numpy str arrays drop a trailing NUL, so this id would merge with u0004;
+    # a quote sends the chunk to csv.reader, which must refuse it too
+    corpus = tmp_path / "nul.csv"
+    rows = [f"u{i:04d}," + ",".join([str(1000 + 7 * i)] * 24) for i in range(40)]
+    rows[5] = spelling + rows[5][5:]
+    corpus.write_text("user_id," + ",".join(f"t{t}" for t in range(24)) + "\n"
+                      + "\n".join(rows) + "\n")
+    assert _run("cluster", "--corpus", corpus, "--out", tmp_path, "--method", "gkc") == 1
+    assert capsys.readouterr().err == (
+        "gridrates: validation error: row 7: user_id contains NUL\n")
+    assert not (tmp_path / "rates_gkc.csv").exists()
 
 
 def test_blank_corpus_line_names_its_row(tmp_path, capsys):

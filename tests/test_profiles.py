@@ -176,8 +176,9 @@ def test_csv_round_trip(tmp_path):
 
 
 def _reference_ingest_csv(path) -> IngestResult:
-    """The row-by-row `ingest_csv` that the bulk parse replaced, kept
-    verbatim as the oracle for the differential test below."""
+    """The row-by-row `ingest_csv` that the bulk parse replaced, kept as
+    the oracle for the differential test below; its one later rule refuses
+    an id holding a NUL."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -204,6 +205,8 @@ def _reference_ingest_csv(path) -> IngestResult:
             uid = row[0].strip()
             if not uid:
                 raise MalformedRow(row_number, "missing user_id")
+            if "\x00" in uid:
+                raise MalformedRow(row_number, "user_id contains NUL")
             if uid in seen:
                 raise MalformedRow(row_number, f"duplicate user_id {uid!r}")
             try:
