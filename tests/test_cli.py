@@ -514,6 +514,49 @@ def test_every_sidecar_records_peak_memory_and_versions(tmp_path, small_config, 
         assert all(0.0 <= s < 60.0 for s in meta["stages"].values()), path.name
 
 
+# every sidecar's keys: the ones each sidecar has, the ones of a command that
+# loads a corpus, and each command's own
+_META_KEYS = {"command", "config_hash", "peak_rss_mb", "stages", "versions"}
+_LOAD_KEYS = {"n_users", "n_excluded", "excluded_by_reason", "csv_rows", "nonpositive_prices"}
+_KMEANS_KEYS = {"n_iter", "label_fixpoint", "inertia", "empty_cluster_repairs"}
+_SIDECAR_KEYS = {
+    "meta_datagen.json": _META_KEYS | {"n_users", "horizon"},
+    "meta_price.json": _META_KEYS | _LOAD_KEYS,
+    "meta_cluster_profile.json": _META_KEYS | _LOAD_KEYS | _KMEANS_KEYS | {
+        "method", "n_clusters", "wall_time_s"},
+    "meta_cluster_gkc.json": _META_KEYS | _LOAD_KEYS | {
+        "method", "n_clusters", "wall_time_s", "criterion_ok", "criterion_worst_gap"},
+    "meta_cluster_skc.json": _META_KEYS | _LOAD_KEYS | _KMEANS_KEYS | {
+        "method", "n_clusters", "wall_time_s", "base_wall_time_s", "skc_max_depth",
+        "criterion_ok", "criterion_worst_gap"},
+    "meta_vulnerability.json": _META_KEYS | _LOAD_KEYS | {
+        "theta_ref", "strict", "effort_s", "n_effort_pairs", "n_exact_pairs",
+        "n_unreachable_pairs", "n_reported_efforts", "n_degenerate_targets",
+        "n_reachable_pairs"},
+    "meta_sensitivity.json": _META_KEYS | _LOAD_KEYS | {
+        "nonpositive_prices_a", "rho_points", "a_points"},
+    "meta_diversity.json": _META_KEYS | _LOAD_KEYS | {"drilled", "drill_kmeans"},
+    "meta_verify.json": _META_KEYS | {"results"},
+}
+
+
+def test_every_sidecar_has_its_key_set(tmp_path, small_config, monkeypatch):
+    monkeypatch.setattr(acceptance, "run_all", lambda out_dir, emit: [])   # verify, not its criteria
+    corpus = tmp_path / "corpus.csv"
+    tariff = tmp_path / "clustering_gkc.json"
+    for argv in (("datagen",), ("price", "--corpus", corpus),
+                 *(("cluster", "--corpus", corpus, "--method", method)
+                   for method in ("profile", "gkc", "skc")),
+                 ("vulnerability", "--corpus", corpus, "--clustering", tariff),
+                 ("sensitivity", "--corpus", corpus, "--rho-grid", "0.5"),
+                 ("diversity", "--corpus", corpus, "--clustering", tariff, "--drill", "0"),
+                 ("verify",)):
+        assert _run(argv[0], "--config", small_config, "--out", tmp_path, *argv[1:]) == 0
+    got = {path.name: sorted(json.loads(path.read_text()))
+           for path in tmp_path.glob("meta_*.json")}
+    assert got == {name: sorted(keys) for name, keys in _SIDECAR_KEYS.items()}
+
+
 def test_sidecars_record_dropped_efforts_and_clustering_work(tmp_path, small_config):
     corpus = tmp_path / "corpus.csv"
     tariff = tmp_path / "clustering_profile.json"
