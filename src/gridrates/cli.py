@@ -33,7 +33,7 @@ from .errors import (
     ZeroProfile,
 )
 from .kmeans import kmeans_profiles, sigma
-from .model import PriceCurve, mci_matrix, price_curve
+from .model import PriceCurve, SystemLoad, mci_matrix, price_curve
 from .profiles import Population, aggregate, generate_corpus, ingest_csv, write_csv
 from .robust import criterion_check, gkc, mci_table, skc
 from .tariff import Tariff
@@ -66,19 +66,9 @@ def _write_table(path, header, rows: list, cfg_hash) -> None:
             fh.writelines(fmt % tuple(row) for row in rows)
 
 
-def _np_default(value):
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    raise TypeError(f"not JSON serializable: {type(value)}")
-
-
 def _write_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, default=_np_default))
+        fh.write(json.dumps(doc, sort_keys=True))
         fh.write("\n")
 
 
@@ -90,7 +80,19 @@ def _stage(record: dict, name: str):
     record[name] = record.get(name, 0.0) + time.perf_counter() - start
 
 
-def _write_meta(out_dir: Path, command: str, cfg: RunConfig, **extra) -> None:
+def _setup(args) -> tuple[RunConfig, Path, dict]:
+    """Every command's first step: the config file overridden by each flag
+    whose argparse dest is a config key, the created --out directory, and
+    the command's meta sidecar, started with empty `stages`."""
+    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+    cfg = cfg.with_overrides(**{key: value for key, value in vars(args).items()
+                                if key in RunConfig.__dataclass_fields__})
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return cfg, out, {"stages": {}}
+
+
+def _write_meta(out_dir: Path, command: str, cfg: RunConfig, meta: dict) -> None:
     doc = {
         "command": command,
         "config_hash": cfg.hash(),
@@ -98,58 +100,31 @@ def _write_meta(out_dir: Path, command: str, cfg: RunConfig, **extra) -> None:
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "versions": {"gridrates": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
-        **extra,
+        **meta,
     }
     _write_json(out_dir / f"meta_{command}.json", doc)
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {}
-    for flag, key in (
-        ("seed", "seed"),
-        ("rho", "rho"),
-        ("k", "k"),
-        ("metric", "metric"),
-        ("theta_max", "theta_max"),
-        ("theta_step", "theta_step"),
-        ("kind", "corpus_kind"),
-        ("n", "n_users"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
-    return cfg.with_overrides(**overrides)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _load_population(args, cfg: RunConfig):
-    """The corpus, and as meta sidecar fields the rows its ingest dropped and
+def _load_population(args, cfg: RunConfig, meta: dict) -> Population:
+    """The corpus; the sidecar gets its size, the rows its ingest dropped and
     the rows it read with csv.reader, the slow path."""
-    if getattr(args, "corpus", None):
+    if args.corpus:
         result = ingest_csv(args.corpus)
         pop, dropped, csv_rows = result.population, result.excluded_rows, result.csv_rows
     else:
         pop, dropped, csv_rows = generate_corpus(cfg.corpus_spec()), [], 0
-    by_reason = Counter(reason for _, reason in dropped)
-    return pop, {"n_excluded": len(dropped), "excluded_by_reason": dict(by_reason),
-                 "csv_rows": csv_rows}
+    meta.update(n_users=pop.n_users, n_excluded=len(dropped), csv_rows=csv_rows,
+                excluded_by_reason=dict(Counter(reason for _, reason in dropped)))
+    return pop
 
 
-def _prices_for(cfg: RunConfig, pop: Population):
-    return price_curve(cfg.cost_model(), aggregate(pop))
-
-
-def _nonpositive_prices(curve: PriceCurve):
-    """The count and minimum of a curve's prices <= 0 (what `price_curve`
-    warns of), or None when it has none."""
+def _price_curve(cfg: RunConfig, load: SystemLoad, meta: dict) -> PriceCurve:
+    """The config's price curve; the sidecar gets the count and minimum of its
+    prices <= 0 (what `price_curve` warns of), or None when it has none."""
+    curve = price_curve(cfg.cost_model(), load)
     bad = curve.prices[curve.prices <= 0]
-    return {"n": bad.size, "min": bad.min()} if bad.size else None
+    meta["nonpositive_prices"] = {"n": bad.size, "min": bad.min()} if bad.size else None
+    return curve
 
 
 def _load_clustering(path, cfg: RunConfig, pop: Population, curve: PriceCurve) -> Tariff:
@@ -169,32 +144,27 @@ def _load_clustering(path, cfg: RunConfig, pop: Population, curve: PriceCurve) -
 # ---------------------------------------------------------------------------
 
 def cmd_datagen(args) -> int:
-    cfg = _config_from_args(args)
-    out = _out_dir(args)
-    stages: dict = {}
-    with _stage(stages, "compute"):
+    cfg, out, meta = _setup(args)
+    with _stage(meta["stages"], "compute"):
         pop = generate_corpus(cfg.corpus_spec())
-    with _stage(stages, "write"):
+    with _stage(meta["stages"], "write"):
         write_csv(pop, out / "corpus.csv")
-    _write_meta(out, "datagen", cfg, n_users=pop.n_users, horizon=pop.horizon,
-                stages=stages)
+    meta.update(n_users=pop.n_users, horizon=pop.horizon)
+    _write_meta(out, "datagen", cfg, meta)
     return 0
 
 
 def cmd_price(args) -> int:
-    cfg = _config_from_args(args)
-    out = _out_dir(args)
-    stages: dict = {}
-    with _stage(stages, "load"):
-        pop, excluded = _load_population(args, cfg)
-    with _stage(stages, "compute"):
+    cfg, out, meta = _setup(args)
+    with _stage(meta["stages"], "load"):
+        pop = _load_population(args, cfg, meta)
+    with _stage(meta["stages"], "compute"):
         load = aggregate(pop)
-        prices = price_curve(cfg.cost_model(), load)
+        prices = _price_curve(cfg, load, meta)
         rows = [(t, load.loads[t], prices.prices[t]) for t in range(pop.horizon)]
-    with _stage(stages, "write"):
+    with _stage(meta["stages"], "write"):
         _write_table(out / "price.csv", ["t", "load", "price"], rows, cfg.hash())
-    _write_meta(out, "price", cfg, n_users=pop.n_users, **excluded,
-                nonpositive_prices=_nonpositive_prices(prices), stages=stages)
+    _write_meta(out, "price", cfg, meta)
     return 0
 
 
@@ -217,19 +187,17 @@ def _kmeans_facts(tariff: Tariff) -> dict:
 
 
 def cmd_cluster(args) -> int:
-    cfg = _config_from_args(args)
-    out = _out_dir(args)
-    stages: dict = {}
-    with _stage(stages, "load"):
-        pop, excluded = _load_population(args, cfg)
-    meta = {"method": args.method, "n_users": pop.n_users, **excluded}
+    cfg, out, meta = _setup(args)
+    meta["method"] = args.method
+    with _stage(meta["stages"], "load"):
+        pop = _load_population(args, cfg, meta)
 
-    with _stage(stages, "compute"):
-        prices = _prices_for(cfg, pop)
+    with _stage(meta["stages"], "compute"):
+        prices = _price_curve(cfg, aggregate(pop), meta)
         if args.method == "gkc":
             with _stage(meta, "wall_time_s"):
                 tariff = gkc(mci_table(pop, prices), cfg.rho)
-        elif args.method in ("profile", "skc"):
+        else:
             # skc refines the k-means tariff; its base is timed apart
             key = "wall_time_s" if args.method == "profile" else "base_wall_time_s"
             with _stage(meta, key):
@@ -240,30 +208,26 @@ def cmd_cluster(args) -> int:
                 with _stage(meta, "wall_time_s"):
                     tariff = skc(pop, prices, cfg.rho, tariff)
                 meta["skc_max_depth"] = tariff.split_depth
-        else:
-            raise ConfigError(f"unknown method {args.method!r}")
 
         meta["n_clusters"] = tariff.k
         if tariff.centers is None:
             ok, worst = criterion_check(tariff)
             meta["criterion_ok"] = bool(ok)
             meta["criterion_worst_gap"] = worst
-    with _stage(stages, "write"):
+    with _stage(meta["stages"], "write"):
         (out / f"clustering_{args.method}.json").write_text(
             tariff.to_json() + "\n", encoding="utf-8")
         _write_user_rates(out / f"rates_{args.method}.csv", tariff, cfg.hash())
-    _write_meta(out, f"cluster_{args.method}", cfg, **meta,
-                nonpositive_prices=_nonpositive_prices(prices), stages=stages)
+    _write_meta(out, f"cluster_{args.method}", cfg, meta)
     return 0
 
 
 def cmd_vulnerability(args) -> int:
-    cfg = _config_from_args(args)
-    out = _out_dir(args)
-    stages: dict = {}
+    cfg, out, meta = _setup(args)
+    stages = meta["stages"]
     with _stage(stages, "load"):
-        pop, excluded = _load_population(args, cfg)
-        curve = _prices_for(cfg, pop)
+        pop = _load_population(args, cfg, meta)
+        curve = _price_curve(cfg, aggregate(pop), meta)
         tariff = _load_clustering(args.clustering, cfg, pop, curve)
     thetas = cfg.theta_grid()
     theta_ref = float(thetas[-1])
@@ -296,81 +260,78 @@ def cmd_vulnerability(args) -> int:
             "n_violations": audit.n_violations,
             "worst_pairs": audit.worst_pairs(),
         })
-    _write_meta(out, "vulnerability", cfg, n_users=pop.n_users,
-                **excluded, nonpositive_prices=_nonpositive_prices(curve),
-                stages=stages, theta_ref=theta_ref, strict=args.strict,
-                effort_s=audit.effort_s, n_effort_pairs=len(tariff.labels) * (tariff.k - 1),
+    meta.update(theta_ref=theta_ref, strict=args.strict, effort_s=audit.effort_s,
+                n_effort_pairs=len(tariff.labels) * (tariff.k - 1),
                 n_exact_pairs=audit.n_exact_pairs,
                 n_unreachable_pairs=audit.n_unreachable,
                 n_reported_efforts=files.n_reported,
                 n_degenerate_targets=degenerate_targets(tariff),
                 n_reachable_pairs=audit.n_reachable)
+    _write_meta(out, "vulnerability", cfg, meta)
     return 0
 
 
-def _parse_list(text: str, kind, what: str) -> list:
+def _parse_list(text: str, kind, flag: str) -> list:
     """Comma-separated values of one kind; blank entries are skipped."""
     try:
         return [kind(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise ConfigError(f"bad {what} {text!r}; expected comma-separated "
+        raise ConfigError(f"bad {flag} {text!r}; expected comma-separated "
                           f"{kind.__name__}s") from None
 
 
-def _parse_grid(text: str | None, default) -> list:
-    return list(default) if text is None else _parse_list(text, float, "grid")
+def _parse_grid(text: str | None, flag: str) -> list | None:
+    """A grid flag's values, or None when the flag is not given."""
+    if text is None:
+        return None
+    grid = _parse_list(text, float, flag)
+    if not grid:
+        raise ConfigError(f"{flag} {text!r} holds no value; expected comma-separated floats")
+    return grid
 
 
 def cmd_sensitivity(args) -> int:
-    cfg = _config_from_args(args)
-    out = _out_dir(args)
-    stages: dict = {}
-    with _stage(stages, "load"):
-        pop, excluded = _load_population(args, cfg)
+    rho_grid = _parse_grid(args.rho_grid, "--rho-grid")
+    a_grid = _parse_grid(args.a_grid, "--a-grid")
+    cfg, out, meta = _setup(args)
+    rho_grid = rho_grid or list(np.round(np.geomspace(0.05, 5.0, 20), 9))
+    a_grid = a_grid or [cfg.a / 2, cfg.a, cfg.a * 2]
+    with _stage(meta["stages"], "load"):
+        pop = _load_population(args, cfg, meta)
     loads = aggregate(pop)
-    rho_grid = _parse_grid(args.rho_grid, np.round(np.geomspace(0.05, 5.0, 20), 9))
-    a_grid = _parse_grid(args.a_grid, [cfg.a / 2, cfg.a, cfg.a * 2])
     rows = []
     nonpositive_a = []   # the grid's curvatures whose price curve has a price <= 0
-    with _stage(stages, "compute"):
-        nonpositive = _nonpositive_prices(price_curve(cfg.cost_model(), loads))
+    with _stage(meta["stages"], "compute"):
+        _price_curve(cfg, loads, meta)   # the config's own curve, for the sidecar
         for a in a_grid:
             curve = price_curve(cfg.with_overrides(a=a).cost_model(), loads)
-            if _nonpositive_prices(curve):
+            if np.any(curve.prices <= 0):
                 nonpositive_a.append(a)
             table = mci_table(pop, curve)
             for rho in rho_grid:
                 rows.append((rho, a, gkc(table, float(rho)).k))
-    with _stage(stages, "write"):
+    with _stage(meta["stages"], "write"):
         _write_table(out / "sensitivity.csv", ["rho", "a", "kappa"], rows, cfg.hash())
-    _write_meta(out, "sensitivity", cfg, n_users=pop.n_users,
-                **excluded, nonpositive_prices=nonpositive,
-                nonpositive_prices_a=nonpositive_a, stages=stages,
-                rho_points=len(rho_grid), a_points=len(a_grid))
+    meta.update(nonpositive_prices_a=nonpositive_a, rho_points=len(rho_grid),
+                a_points=len(a_grid))
+    _write_meta(out, "sensitivity", cfg, meta)
     return 0
 
 
 def cmd_diversity(args) -> int:
-    cfg = _config_from_args(args)
     drill = _parse_list(args.drill, int, "--drill") if args.drill else []
     if args.drill_k < 1:
         raise ConfigError(f"--drill-k must be >= 1, got {args.drill_k}")
-    out = _out_dir(args)
-    stages: dict = {}
-    with _stage(stages, "load"):
-        pop, excluded = _load_population(args, cfg)
-        prices = _prices_for(cfg, pop)
+    cfg, out, meta = _setup(args)
+    with _stage(meta["stages"], "load"):
+        pop = _load_population(args, cfg, meta)
+        prices = _price_curve(cfg, aggregate(pop), meta)
         tariff = _load_clustering(args.clustering, cfg, pop, prices)
 
-    with _stage(stages, "compute"):
+    with _stage(meta["stages"], "compute"):
         sig = sigma(tariff, pop)
         sizes = np.bincount(tariff.labels, minlength=tariff.k).tolist()
-        cluster_prices = (
-            tariff.prices if tariff.prices is not None else [float("nan")] * tariff.k
-        )
-        rows = [
-            (j, sizes[j], cluster_prices[j], sig[j]) for j in range(tariff.k)
-        ]
+        rows = [(j, sizes[j], tariff.prices[j], sig[j]) for j in range(tariff.k)]
         inner = {}
         for j in drill:
             if not 0 <= j < tariff.k:
@@ -379,36 +340,34 @@ def cmd_diversity(args) -> int:
             sub = Population(member_ids, pop.consumption[pop.rows_of(member_ids)])
             k_sub = min(args.drill_k, sub.n_users)
             inner[j] = kmeans_profiles(sub, k=k_sub, prices=prices, seed=cfg.seed)
-    with _stage(stages, "write"):
+    with _stage(meta["stages"], "write"):
         _write_table(out / "sigma.csv", ["cluster", "size", "price", "sigma"], rows,
                      cfg.hash())
         for j, sub_tariff in inner.items():
             (out / f"subclusters_{j}.json").write_text(
                 sub_tariff.to_json() + "\n", encoding="utf-8")
-    _write_meta(out, "diversity", cfg, n_users=pop.n_users,
-                **excluded, nonpositive_prices=_nonpositive_prices(prices),
-                stages=stages, drilled=drill,
+    meta.update(drilled=drill,
                 drill_kmeans={str(j): _kmeans_facts(sub) for j, sub in inner.items()})
+    _write_meta(out, "diversity", cfg, meta)
     return 0
 
 
 def cmd_verify(args) -> int:
     from .acceptance import run_all
 
-    cfg = _config_from_args(args)  # validates config; seed recorded in meta
-    out = _out_dir(args)
-    stages: dict = {}
-    with _stage(stages, "compute"):
+    cfg, out, meta = _setup(args)   # validates config; its hash is recorded
+    with _stage(meta["stages"], "compute"):
         results = run_all(out_dir=out, emit=print)
     rows = [(r.number, r.name, "pass" if r.passed else "fail") for r in results]
-    with _stage(stages, "write"):
+    with _stage(meta["stages"], "write"):
         _write_table(out / "acceptance_report.csv",
                      ["criterion", "name", "verdict"], rows, cfg.hash())
-    _write_meta(out, "verify", cfg, stages=stages, results=[
+    meta["results"] = [
         {"criterion": r.number, "passed": r.passed, "detail": r.detail,
          "elapsed_s": r.elapsed}
         for r in results
-    ])
+    ]
+    _write_meta(out, "verify", cfg, meta)
     failed = [r.number for r in results if not r.passed]
     if failed:
         print(f"verify: FAILED criteria {failed}", file=sys.stderr)
@@ -433,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("datagen", help="write a synthetic corpus CSV")
     common(p)
-    p.add_argument("--kind", choices=["residential", "commercial"])
-    p.add_argument("--n", type=int, help="number of users")
+    p.add_argument("--kind", dest="corpus_kind", choices=["residential", "commercial"])
+    p.add_argument("--n", dest="n_users", type=int, help="number of users")
     p.set_defaults(func=cmd_datagen)
 
     p = sub.add_parser("price", help="emit the slot load and price table")

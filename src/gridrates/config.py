@@ -111,11 +111,6 @@ class RunConfig:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-        if "corpus_overrides" in doc and doc["corpus_overrides"] is not None:
-            doc["corpus_overrides"] = {
-                key: tuple(v) if isinstance(v, list) else v
-                for key, v in doc["corpus_overrides"].items()
-            }
         return cls.from_dict(doc)
 
     def with_overrides(self, **kwargs) -> "RunConfig":

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gridrates import Population, __version__, acceptance, cli, kmeans_profiles, vulnerability
+from gridrates import (Population, __version__, acceptance, aggregate, cli, kmeans_profiles,
+                       price_curve, vulnerability)
 from gridrates.config import MAX_THETA_POINTS, RunConfig
 from gridrates.errors import ConfigError, PriceWarning
 from gridrates.profiles import ingest_csv
@@ -371,7 +372,8 @@ def test_vulnerability_files_do_not_depend_on_the_user_chunk(
     # worst_pairs keeps a stable sort by gap over the pairs in tariff order
     cfg = RunConfig.from_file(small_config)
     pop = ingest_csv(corpus).population
-    tariff = cli._load_clustering(clustering, cfg, pop, cli._prices_for(cfg, pop))
+    curve = price_curve(cfg.cost_model(), aggregate(pop))
+    tariff = cli._load_clustering(clustering, cfg, pop, curve)
     rows = np.arange(len(tariff.labels))
     user, target, gap = vulnerability.report(
         tariff.user_ids.tolist(), vulnerability.effort_rows(tariff)(rows),
