@@ -224,8 +224,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_vulnerability(args) -> int:
     cfg, out, meta = _setup(args)
-    stages = meta["stages"]
-    with _stage(stages, "load"):
+    with _stage(meta["stages"], "load"):
         pop = _load_population(args, cfg, meta)
         curve = _price_curve(cfg, aggregate(pop), meta)
         tariff = _load_clustering(args.clustering, cfg, pop, curve)
@@ -236,20 +235,20 @@ def cmd_vulnerability(args) -> int:
     # one pass over chunks of users in id order: each chunk's efforts are
     # built once, read by every report, and its reports written before the
     # next chunk is built
-    with _stage(stages, "compute"):
+    with _stage(meta["stages"], "compute"):
         audit = Audit(tariff, pop, args.strict, thetas, theta_ref, bound)
     with ReportFiles(out / "disguise_reports.csv", out / "disguise_reports.json") as files:
         for rows in audit.chunks():
-            with _stage(stages, "compute"):
+            with _stage(meta["stages"], "compute"):
                 reports = audit.add(rows)
-            with _stage(stages, "write"):
+            with _stage(meta["stages"], "write"):
                 files.write(reports)
 
     header = ["theta", "pct_strategic"] + [f"n_{j}" for j in range(tariff.k)]
     table_rows = [
         (theta, pct, *counts.tolist()) for theta, pct, counts in audit.sweep_rows()
     ]
-    with _stage(stages, "write"):
+    with _stage(meta["stages"], "write"):
         _write_table(out / "vulnerability_sweep.csv", header, table_rows, cfg.hash())
         _write_json(out / "smoothness.json", {
             "config_hash": cfg.hash(),
@@ -393,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("datagen", help="write a synthetic corpus CSV")
     common(p)
     p.add_argument("--kind", dest="corpus_kind", choices=["residential", "commercial"])
-    p.add_argument("--n", dest="n_users", type=int, help="number of users")
+    p.add_argument("--n", dest="n_users", type=int, metavar="N", help="number of users")
     p.set_defaults(func=cmd_datagen)
 
     p = sub.add_parser("price", help="emit the slot load and price table")

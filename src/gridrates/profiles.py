@@ -398,6 +398,11 @@ class CorpusSpec:
             raise ValueError("one concentration per archetype required")
         if not (0 < self.total_range[0] <= self.total_range[1]):
             raise ValueError("total_range must satisfy 0 < lo <= hi")
+        # ingest_csv refuses a NUL in an id and strips the whitespace around it
+        prefix = self.id_prefix
+        if not isinstance(prefix, str) or "\0" in prefix or prefix != prefix.lstrip():
+            raise ValueError("id_prefix must be a string with no NUL and no leading "
+                             f"whitespace, which a written corpus cannot keep; got {prefix!r}")
 
 
 def residential_spec(n_users: int, seed: int, **overrides) -> CorpusSpec:

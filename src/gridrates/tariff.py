@@ -10,6 +10,7 @@ clusters carry a center, `"kind": "rate"` clusters a rate range.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,15 +80,16 @@ class Tariff:
     def check_config(self, curve: PriceCurve, rho: float) -> None:
         """Raise ValueError unless the tariff was made with this price curve and rho.
 
-        A rate tariff must carry `rho` (its band ranges are checked against
-        the rates by `from_json`); a profile tariff's prices must be the MCI
-        of its centers under `curve`, bit for bit.
+        Every cluster must have a finite price. A rate tariff must carry
+        `rho` (its band ranges are checked against the rates by `from_json`);
+        a profile tariff's prices must be the MCI of its centers under
+        `curve`, bit for bit.
         """
+        if self.prices is None or not np.isfinite(self.prices).all():
+            raise ValueError("the tariff needs a finite price for every cluster")
         if self.centers is None:
             if self.rho != rho:
                 raise ValueError(f"tariff has rho={self.rho!r}, the config rho={rho!r}")
-            return
-        if self.prices is None:
             return
         expected = center_prices(curve, self.centers)
         bad = np.flatnonzero(self.prices != expected)
@@ -126,7 +128,7 @@ class Tariff:
         `rates` maps user id to rate in the corpus the tariff is applied
         to. A rate tariff needs it; each band's stored `rate_range` must then
         be the exact range of its members' rates. When given, every member
-        id must have a rate.
+        id must have a rate. Each member id must be listed once.
         """
         doc = json.loads(text)
         kind = doc.get("kind")
@@ -136,6 +138,10 @@ class Tariff:
         user_ids = [uid for cluster in clusters for uid in cluster["members"]]
         labels = np.repeat(np.arange(len(clusters)),
                            [len(cluster["members"]) for cluster in clusters])
+        if len(set(user_ids)) != len(user_ids):
+            uid, n = next((uid, n) for uid, n in Counter(user_ids).items() if n > 1)
+            listed = sorted({int(j) for u, j in zip(user_ids, labels) if u == uid})
+            raise ValueError(f"user id {uid!r} is listed {n} times, by clusters {listed}")
         prices = [cluster["price"] for cluster in clusters]
         if rates is not None:
             missing = [uid for uid in user_ids if uid not in rates]

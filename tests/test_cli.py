@@ -15,16 +15,31 @@ from gridrates.robust import SKC_MAX_DEPTH
 from gridrates.tariff import Tariff
 
 
+_SMALL_CONFIG = {
+    "n_users": 300,
+    "seed": 17,
+    "k": 8,
+    "corpus_overrides": {"total_range": [26000.0, 60000.0]},
+}
+
+
 @pytest.fixture()
 def small_config(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({
-        "n_users": 300,
-        "seed": 17,
-        "k": 8,
-        "corpus_overrides": {"total_range": [26000.0, 60000.0]},
-    }))
+    path.write_text(json.dumps(_SMALL_CONFIG))
     return path
+
+
+@pytest.fixture(scope="module")
+def tariff_files(tmp_path_factory):
+    """A small config, its corpus, and the corpus's profile and gkc tariffs."""
+    root = tmp_path_factory.mktemp("tariffs")
+    (root / "config.json").write_text(json.dumps(_SMALL_CONFIG))
+    assert _run("datagen", "--config", root / "config.json", "--out", root) == 0
+    for method in ("profile", "gkc"):
+        assert _run("cluster", "--config", root / "config.json", "--out", root,
+                    "--corpus", root / "corpus.csv", "--method", method) == 0
+    return root
 
 
 def _run(*argv):
@@ -286,6 +301,59 @@ def test_tariff_from_another_config_is_validation_error(
     assert message in err
 
 
+def _list_twice(doc, by):   # cluster `by` also lists cluster 0's first member
+    doc["clusters"][by]["members"].append(doc["clusters"][0]["members"][0])
+
+
+@pytest.mark.parametrize("command", ["vulnerability", "diversity"])
+@pytest.mark.parametrize("method, edit, message", [
+    pytest.param("profile", lambda doc: _list_twice(doc, 1),
+                 "user id {first!r} is listed 2 times, by clusters [0, 1]", id="two-clusters"),
+    pytest.param("gkc", lambda doc: _list_twice(doc, 0),
+                 "user id {first!r} is listed 2 times, by clusters [0]", id="one-band"),
+    pytest.param("profile", lambda doc: doc["clusters"][3].update(price=None),
+                 "the tariff needs a finite price for every cluster", id="profile-price"),
+    pytest.param("gkc", lambda doc: doc["clusters"][0].update(price=None),
+                 "the tariff needs a finite price for every cluster", id="gkc-price"),
+    pytest.param("profile", lambda doc: doc["clusters"][2]["members"].clear(),
+                 "every cluster must be nonempty", id="empty-cluster"),
+    pytest.param("gkc", lambda doc: doc.update(kind="band"),
+                 "unknown clustering kind 'band'", id="kind"),
+])
+def test_untrustworthy_tariff_file_is_refused_at_load(
+        tmp_path, tariff_files, capsys, command, method, edit, message):
+    doc = json.loads((tariff_files / f"clustering_{method}.json").read_text())
+    message = message.format(first=doc["clusters"][0]["members"][0])
+    edit(doc)
+    clustering = tmp_path / "edited.json"
+    clustering.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert _run(command, "--config", tariff_files / "config.json", "--out", out,
+                "--corpus", tariff_files / "corpus.csv", "--clustering", clustering) == 1
+    assert f"validation error: {clustering}: {message}\n" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+
+
+_BAD_PREFIX = ("id_prefix must be a string with no NUL and no leading whitespace, "
+               "which a written corpus cannot keep; got ")
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"k": 0}, "k must be >= 1"),
+    ({"seed": -1}, "seed must be a non-negative integer"),
+    ({"corpus_overrides": {"id_prefix": "u\0"}}, _BAD_PREFIX + "'u\\x00'"),
+    ({"corpus_overrides": {"id_prefix": " u"}}, _BAD_PREFIX + "' u'"),
+    ({"corpus_overrides": {"id_prefix": 5}}, _BAD_PREFIX + "5"),
+], ids=["k", "seed", "nul-prefix", "space-prefix", "int-prefix"])
+def test_bad_config_is_refused_before_out_is_made(tmp_path, capsys, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n_users": 50, **config}))
+    out = tmp_path / "out"
+    assert _run("datagen", "--config", path, "--out", out) == 1
+    assert f"validation error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_theta_grid_never_passes_theta_max(tmp_path, small_config):
     np.testing.assert_array_equal(RunConfig().theta_grid(),
                                   np.round(np.arange(41) * 0.005, 12))
@@ -464,6 +532,41 @@ def test_diversity_flag_errors_name_the_flag(tmp_path, capsys, flags, message):
                 "--clustering", tmp_path / "clustering.json", "--drill", "0", *flags) == 1
     assert f"validation error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_diversity_drill_index_out_of_range(tmp_path, tariff_files, capsys):
+    k = json.loads((tariff_files / "clustering_gkc.json").read_text())["k"]
+    out = tmp_path / "out"
+    assert _run("diversity", "--config", tariff_files / "config.json", "--out", out,
+                "--corpus", tariff_files / "corpus.csv",
+                "--clustering", tariff_files / "clustering_gkc.json", "--drill", f"0,{k}") == 1
+    assert f"validation error: --drill index {k} out of range (k={k})" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--rho-grid", "x"), "bad --rho-grid 'x'; expected comma-separated floats"),
+    (("--a-grid", "1e-4,y"), "bad --a-grid '1e-4,y'; expected comma-separated floats"),
+    (("--a-grid", ""), "--a-grid '' holds no value; expected comma-separated floats"),
+    (("--rho-grid", ","), "--rho-grid ',' holds no value; expected comma-separated floats"),
+], ids=["bad-rho", "bad-a", "empty-a", "empty-rho"])
+def test_sensitivity_grid_errors_name_the_flag(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    assert _run("sensitivity", "--out", out, "--corpus", tmp_path / "corpus.csv", *flags) == 1
+    assert f"validation error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_exits_3_on_a_failed_criterion(tmp_path, capsys, monkeypatch):
+    failed = acceptance.CheckResult(4, "band criterion", False, "gap 0.7 > rho 0.5", 0.01)
+    monkeypatch.setattr(acceptance, "run_all", lambda out_dir, emit: [failed])
+    assert _run("verify", "--out", tmp_path) == 3
+    assert "verify: FAILED criteria [4]" in capsys.readouterr().err
+    lines = (tmp_path / "acceptance_report.csv").read_text().splitlines()
+    assert lines[1:] == ["criterion,name,verdict", "4,band criterion,fail"]
+    meta = json.loads((tmp_path / "meta_verify.json").read_text())
+    assert meta["results"] == [{"criterion": 4, "passed": False,
+                                "detail": "gap 0.7 > rho 0.5", "elapsed_s": 0.01}]
 
 
 def test_diversity_drill_skips_blank_entries_as_grids_do(tmp_path, small_config):

@@ -82,6 +82,10 @@ def test_population_validation():
         Population(["a", "a"], [[1, 2], [3, 4]])  # duplicate ids
     with pytest.raises(ValueError):
         Population(["a"], [[1, -2]])  # negative load
+    with pytest.raises(ValueError, match=r"must be an \(N, T\) matrix"):
+        Population(["a"], [1, 2])
+    with pytest.raises(ValueError, match="one user id per consumption row"):
+        Population(["a", "b"], [[1, 2]])
 
 
 def test_ingest_population_equals_checked_population(tmp_path):
@@ -158,6 +162,19 @@ def test_ingest_duplicate_id_rejected(tmp_path):
     path.write_text("user_id,t0,t1\na,1,2\na,3,4\n")
     with pytest.raises(MalformedRow):
         ingest_csv(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file, no header"),
+    ("id,t0,t1\na,1,2\n", "header must be user_id,t0,..."),
+    ("user_id\na\n", "header must be user_id,t0,..."),
+])
+def test_ingest_header_errors(tmp_path, text, message):
+    path = tmp_path / "pop.csv"
+    path.write_text(text)
+    with pytest.raises(InconsistentHorizon) as info:
+        ingest_csv(path)
+    assert str(info.value).startswith(f"{path}: {message}")
 
 
 def test_ingest_missing_file():
@@ -563,3 +580,15 @@ def test_corpus_spec_validation():
         residential_spec(n_users=5, seed=1, noise_scale=-0.1)
     with pytest.raises(ValueError):
         residential_spec(n_users=5, seed=1, kind="industrial")
+    with pytest.raises(ValueError, match="one width per peak location"):
+        residential_spec(n_users=5, seed=1, peak_widths=(1.0,))
+    with pytest.raises(ValueError, match="one concentration per archetype"):
+        residential_spec(n_users=5, seed=1, mixture_concentration=(1.0, 1.0))
+    for total_range in ((0.0, 10.0), (20.0, 10.0)):
+        with pytest.raises(ValueError, match="total_range must satisfy"):
+            residential_spec(n_users=5, seed=1, total_range=total_range)
+    # ingest_csv refuses a NUL in an id and strips leading whitespace
+    for prefix in ("u\0", " u", "\tu", 5):
+        with pytest.raises(ValueError, match="id_prefix"):
+            residential_spec(n_users=5, seed=1, id_prefix=prefix)
+    assert residential_spec(n_users=5, seed=1, id_prefix="u ").id_prefix == "u "

@@ -74,6 +74,16 @@ def test_mci_table_single_user():
     assert table.user_ids[0] == "solo"
 
 
+@pytest.mark.parametrize("ids, mcis, message", [
+    (["a", "b"], [1.0], "one rate per user id"),
+    (["a", "b"], [1.0, np.nan], "rates must be finite"),
+    (["a", "b"], [2.0, 1.0], "rates must be sorted ascending"),
+])
+def test_mci_table_validation(ids, mcis, message):
+    with pytest.raises(ValueError, match=message):
+        MciTable(user_ids=np.asarray(ids), mcis=np.asarray(mcis))
+
+
 def test_mci_table_ties_ordered_by_user_id():
     pop = Population(["z", "a"], [[1.0, 1.0], [2.0, 2.0]])  # equal rates
     table = mci_table(pop, price_curve(CostModel(1.0, 0.0), aggregate(pop)))
