@@ -79,21 +79,23 @@ def gkc(table: MciTable, rho: float) -> Tariff:
     """
     _check_rho(rho)
     mcis = table.mcis
-    n = mcis.size
-    labels = np.empty(n, dtype=int)
-    prices = []
-    i = 0
-    j = 0
-    while i < n:
-        hi = np.searchsorted(mcis, mcis[i] + 2.0 * rho, side="right")
-        labels[i:hi] = j
-        prices.append((mcis[i] + mcis[hi - 1]) / 2.0)
-        i = int(hi)
-        j += 1
+    width = 2.0 * rho
+    # one search per band (Gronlund et al. 2017): each band ends past the
+    # last rate within 2*rho of its first, where the next band starts
+    stops = []
+    stop = 0
+    while stop < mcis.size:
+        stop = int(mcis.searchsorted(mcis[stop] + width, side="right"))
+        stops.append(stop)
+    stops = np.array(stops, dtype=int)
+    sizes = np.diff(stops, prepend=0)
+    starts = stops - sizes
+    labels = np.repeat(np.arange(stops.size), sizes)
+    prices = (mcis[starts] + mcis[stops - 1]) / 2.0
     return Tariff(
         user_ids=table.user_ids.copy(),
         labels=labels,
-        prices=np.asarray(prices, dtype=float),
+        prices=prices,
         method="gkc",
         rates=mcis.copy(),
         rho=float(rho),

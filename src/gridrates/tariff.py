@@ -23,6 +23,15 @@ def center_prices(curve: PriceCurve, centers: np.ndarray) -> np.ndarray:
     return np.array([mci(curve, c) for c in centers])
 
 
+def _require(doc, keys, name: str) -> None:
+    """Raise ValueError unless a tariff file's doc is a JSON object holding every key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name} is not a JSON object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"{name} has no {missing[0]!r} key")
+
+
 @dataclass
 class Tariff:
     """Users partitioned into clusters, with a price per cluster.
@@ -128,13 +137,20 @@ class Tariff:
         `rates` maps user id to rate in the corpus the tariff is applied
         to. A rate tariff needs it; each band's stored `rate_range` must then
         be the exact range of its members' rates. When given, every member
-        id must have a rate. Each member id must be listed once.
+        id must have a rate. Each member id must be listed once. A document
+        that is not an object, or lacks a key its kind reads, is refused.
         """
         doc = json.loads(text)
+        _require(doc, (), "the tariff")
         kind = doc.get("kind")
         if kind not in ("profile", "rate"):
             raise ValueError(f"unknown clustering kind {kind!r}")
+        profile = kind == "profile"
+        _require(doc, ("clusters",) if profile else ("clusters", "method", "rho"), "the tariff")
         clusters = doc["clusters"]
+        for j, cluster in enumerate(clusters):
+            _require(cluster, ("members", "price", "center" if profile else "rate_range"),
+                     f"cluster {j}")
         user_ids = [uid for cluster in clusters for uid in cluster["members"]]
         labels = np.repeat(np.arange(len(clusters)),
                            [len(cluster["members"]) for cluster in clusters])
@@ -149,7 +165,7 @@ class Tariff:
                 raise ValueError(
                     f"{len(missing)} clustering user ids are not in the corpus "
                     f"(first: {missing[0]!r}); was it clustered from another corpus?")
-        if kind == "profile":
+        if profile:
             return cls(
                 user_ids=user_ids,
                 labels=labels,

@@ -1,7 +1,11 @@
 import json
+import os
 import platform
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,7 +237,8 @@ def test_vulnerability_builds_efforts_once(tmp_path, small_config, monkeypatch,
     assert _run("vulnerability", "--config", small_config, "--out", tmp_path,
                 "--corpus", corpus, "--clustering", tmp_path / f"clustering_{method}.json",
                 *flags) == 0
-    assert builds == [bool(flags)]
+    # a rate tariff's reports come from its price windows, with no effort rows
+    assert builds == ([bool(flags)] if method == "profile" else [])
     k = json.loads((tmp_path / f"clustering_{method}.json").read_text())["k"]
     # the kernel sees each (profile, cluster) pair at most once, and only the
     # pairs a report reads; rate tariffs never call it
@@ -332,6 +337,52 @@ def test_untrustworthy_tariff_file_is_refused_at_load(
                 "--corpus", tariff_files / "corpus.csv", "--clustering", clustering) == 1
     assert f"validation error: {clustering}: {message}\n" in capsys.readouterr().err
     assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("command", ["vulnerability", "diversity"])
+@pytest.mark.parametrize("method, cluster, key", [
+    ("gkc", None, "clusters"), ("gkc", None, "rho"), ("gkc", None, "method"),
+    ("gkc", 0, "members"), ("gkc", 0, "price"), ("gkc", 0, "rate_range"),
+    ("profile", None, "clusters"), ("profile", 2, "members"), ("profile", 2, "price"),
+    ("profile", 2, "center"),
+])
+def test_tariff_file_without_a_key_is_refused_at_load(
+        tmp_path, tariff_files, capsys, command, method, cluster, key):
+    doc = json.loads((tariff_files / f"clustering_{method}.json").read_text())
+    del (doc if cluster is None else doc["clusters"][cluster])[key]
+    clustering = tmp_path / "edited.json"
+    clustering.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert _run(command, "--config", tariff_files / "config.json", "--out", out,
+                "--corpus", tariff_files / "corpus.csv", "--clustering", clustering) == 1
+    where = "the tariff" if cluster is None else f"cluster {cluster}"
+    assert capsys.readouterr().err == (
+        f"gridrates: validation error: {clustering}: {where} has no {key!r} key\n")
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("text", [
+    "[]", "5", '{"kind": "rate", "method": "gkc", "rho": 0.5, "clusters": [[]]}',
+], ids=["list", "number", "cluster-list"])
+def test_tariff_file_that_is_no_object_is_refused_at_load(tmp_path, tariff_files, capsys, text):
+    clustering = tmp_path / "edited.json"
+    clustering.write_text(text)
+    assert _run("diversity", "--config", tariff_files / "config.json", "--out", tmp_path / "out",
+                "--corpus", tariff_files / "corpus.csv", "--clustering", clustering) == 1
+    where = "cluster 0" if "clusters" in text else "the tariff"
+    assert capsys.readouterr().err == (
+        f"gridrates: validation error: {clustering}: {where} is not a JSON object\n")
+
+
+def test_package_runs_as_a_module_without_an_install():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "gridrates", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: gridrates ")
+    assert "vulnerability" in done.stdout
 
 
 _BAD_PREFIX = ("id_prefix must be a string with no NUL and no leading whitespace, "
@@ -443,9 +494,7 @@ def test_vulnerability_files_do_not_depend_on_the_user_chunk(
     curve = price_curve(cfg.cost_model(), aggregate(pop))
     tariff = cli._load_clustering(clustering, cfg, pop, curve)
     rows = np.arange(len(tariff.labels))
-    user, target, gap = vulnerability.report(
-        tariff.user_ids.tolist(), vulnerability.effort_rows(tariff)(rows),
-        tariff.labels, tariff.prices, 0.2).pairs
+    user, target, gap = vulnerability.Audit(tariff, theta=0.2).add(rows).pairs
     pairs = list(zip(tariff.user_ids[user].tolist(), target.tolist(), gap.tolist()))
     worst = [tuple(p) for p in json.loads(files[7]["smoothness.json"])["worst_pairs"]]
     assert worst == sorted(pairs, key=lambda p: -p[2])[:20]

@@ -205,6 +205,39 @@ def test_gkc_is_optimal_on_random_instances():
         assert gkc(table, rho).k == minimal_clusters_oracle(table, rho)
 
 
+def _reference_gkc(mcis, rho):
+    """The per-band loop `gkc` replaced, kept as its oracle: (labels, prices)."""
+    n = mcis.size
+    labels = np.empty(n, dtype=int)
+    prices = []
+    i = 0
+    j = 0
+    while i < n:
+        hi = np.searchsorted(mcis, mcis[i] + 2.0 * rho, side="right")
+        labels[i:hi] = j
+        prices.append((mcis[i] + mcis[hi - 1]) / 2.0)
+        i = int(hi)
+        j += 1
+    return labels, np.asarray(prices, dtype=float)
+
+
+def test_gkc_matches_per_band_loop():
+    # rates rounded to 0, 1 or 2 decimals repeat, and land exactly on band
+    # ends 2*rho past a band's first rate
+    rng = np.random.default_rng(18)
+    for _ in range(60):
+        n = int(rng.integers(1, 400))
+        values = np.round(rng.uniform(-3.0, 12.0, n), int(rng.integers(0, 3)))
+        rho = float(rng.choice([0.05, 0.25, 0.5, 3.0]))
+        table = _table(values)
+        got = gkc(table, rho)
+        labels, prices = _reference_gkc(table.mcis, rho)
+        np.testing.assert_array_equal(got.labels, labels)
+        assert got.labels.dtype == labels.dtype
+        assert got.prices.tobytes() == prices.tobytes()
+        assert got.user_ids.tolist() == table.user_ids.tolist()
+
+
 def test_oracle_instance_cap():
     rng = np.random.default_rng(8)
     table = _table(rng.uniform(0, 1, size=50))
