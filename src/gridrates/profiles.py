@@ -126,30 +126,26 @@ class IngestResult:
     csv_rows: int = 0    # body rows read by csv.reader, not np.loadtxt
 
 
-def _parse_chunk(cells, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+def _parse_chunk(rows, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """Values of a chunk's rows, and each row's index into
     `_EXCLUSION_REASONS` (-1 keeps the row).
 
-    `cells` is the (rows, horizon) array np.loadtxt read, or the cell strings
-    csv.reader read, row after row in one list. `np.array(..., dtype=float)`
-    converts those with `float()`, so it accepts exactly the spellings
-    `float()` accepts.
+    `rows` holds `horizon` cells per row: the array np.loadtxt read, or the
+    lists of strings csv.reader read. One `np.array(rows, dtype=float)`
+    converts either (strings with `float()`, so it accepts exactly the
+    spellings `float()` accepts) into a new array.
     """
-    if isinstance(cells, np.ndarray):
-        values, unparsed = cells, np.zeros(len(cells), dtype=bool)
-    else:
-        n_rows = len(cells) // horizon
-        unparsed = np.zeros(n_rows, dtype=bool)
-        try:
-            values = np.array(cells, dtype=float).reshape(n_rows, horizon)
-        except ValueError:
-            # only now convert row by row, to find the rows holding a bad cell
-            values = np.zeros((n_rows, horizon))
-            for i in range(n_rows):
-                try:
-                    values[i] = np.array(cells[i * horizon:(i + 1) * horizon], dtype=float)
-                except ValueError:
-                    unparsed[i] = True
+    unparsed = np.zeros(len(rows), dtype=bool)
+    try:
+        values = np.array(rows, dtype=float)
+    except ValueError:
+        # only now convert row by row, to find the rows holding a bad cell
+        values = np.zeros((len(rows), horizon))
+        for i, row in enumerate(rows):
+            try:
+                values[i] = np.array(row, dtype=float)
+            except ValueError:
+                unparsed[i] = True
     with np.errstate(invalid="ignore", over="ignore"):   # inf - inf, overflow
         failed = np.vstack([
             unparsed,
@@ -173,11 +169,11 @@ def _id_problem(uid: str) -> str | None:
 
 def _body_chunks(fh, path, horizon: int):
     """The rows after the header, a chunk at a time: (number of the first
-    row, each row's stripped user id, the rows' cells, None). The cells are
-    an array from np.loadtxt, or a list of strings from csv.reader (see
-    `_parse_chunk`). A row of the wrong length, without an id or with a NUL
-    in its id ends the body: its chunk holds the rows before it, and in
-    place of None the error it raises.
+    row, each row's stripped user id, the rows' cells, None). The cells
+    are rows of `horizon` cells, an array from np.loadtxt or lists of
+    strings from csv.reader (see `_parse_chunk`). A row of the wrong
+    length, without an id or with a NUL in its id ends the body: its chunk
+    holds the rows before it, and in place of None the error it raises.
 
     Iterating `fh` (opened with newline="") ends a line at CR, LF or CRLF,
     where csv ends a record outside quotes. So in a chunk of lines with no
@@ -188,7 +184,8 @@ def _body_chunks(fh, path, horizon: int):
     float() give the same double; a cell np.loadtxt rejects (`1_0`,
     non-ASCII digits, a bad cell) sends its chunk to csv.reader, as does any
     other chunk. csv.reader reads on past the chunk's last line while a
-    quoted field holds a line break.
+    quoted field holds a line break, and stops at a ragged row. Either
+    path's ids are then checked at once: a bad one before it ends the body.
     """
     chunk_rows = max(1, _CHUNK_CELLS // horizon)
     first_row = 2
@@ -208,28 +205,24 @@ def _body_chunks(fh, path, horizon: int):
                 cells = None
         if cells is not None:
             ids = [uid.strip() for uid, _, _ in parts]
-            if not all(ids) or "\x00" in text:
-                bad = next((i for i, uid in enumerate(ids) if _id_problem(uid)), None)
-                if bad is not None:
-                    error = MalformedRow(first_row + bad, _id_problem(ids[bad]))
-                    ids, cells = ids[:bad], cells[:bad]
         else:
             ids, cells = [], []
             reader = csv.reader(chain(lines, fh))
             for row in reader:
-                row_number = first_row + len(ids)
                 if len(row) != horizon + 1:
                     problem = f"{len(row) - 1} slots, header has {horizon}" if row else "blank line"
-                    error = InconsistentHorizon(f"{path} row {row_number}: {problem}")
+                    error = InconsistentHorizon(f"{path} row {first_row + len(ids)}: {problem}")
                     break
-                uid = row[0].strip()
-                if problem := _id_problem(uid):
-                    error = MalformedRow(row_number, problem)
-                    break
-                ids.append(uid)
-                cells.extend(row[1:])
+                ids.append(row[0].strip())
+                cells.append(row[1:])
                 if reader.line_num >= len(lines):
                     break
+            text += "".join(ids)   # a quoted id may run past the chunk's lines
+        if not all(ids) or "\x00" in text:
+            bad = next((i for i, uid in enumerate(ids) if _id_problem(uid)), None)
+            if bad is not None:
+                error = MalformedRow(first_row + bad, _id_problem(ids[bad]))
+                ids, cells = ids[:bad], cells[:bad]
         yield first_row, ids, cells, error
         if error is not None:
             return
@@ -288,11 +281,7 @@ def ingest_csv(path) -> IngestResult:
                     raise MalformedRow(row_number, f"duplicate user_id {uid!r}")
                 if kept:
                     seen.add(uid)
-        if keep.all():
-            # a copy all the same: holding np.loadtxt's own arrays raised the
-            # peak RSS of repeated ingests
-            values = values.copy()
-        else:
+        if not keep.all():
             ids = list(compress(ids, keep.tolist()))
             excluded.extend((first_row + i, _EXCLUSION_REASONS[reasons[i]])
                             for i in np.flatnonzero(~keep).tolist())

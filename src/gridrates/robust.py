@@ -191,19 +191,11 @@ def minimal_clusters_oracle(table: MciTable, rho: float, cap: int = 2000) -> int
     return int(f[n])
 
 
-def criterion_check(tariff: Tariff, table: MciTable | None = None, rho: float | None = None):
+def criterion_check(tariff: Tariff, rho: float | None = None):
     """Verify |rate_i - price of i's cluster| <= rho + CRITERION_ATOL for every user.
 
-    Returns (ok, worst_gap). Uses the tariff's own rates and rho unless
-    overridden.
+    Returns (ok, worst_gap). Uses the tariff's own rho unless overridden.
     """
     rho = tariff.rho if rho is None else rho
-    user_prices = tariff.prices[tariff.labels]
-    if table is None:
-        gaps = np.abs(tariff.rates - user_prices)
-    else:
-        price_of = dict(zip(tariff.user_ids.tolist(), user_prices))
-        gaps = np.abs(table.mcis - np.array([price_of[u] for u in table.user_ids.tolist()]))
-    worst = float(gaps.max())
+    worst = float(np.abs(tariff.rates - tariff.prices[tariff.labels]).max())
     return bool(worst <= rho + CRITERION_ATOL), worst
-

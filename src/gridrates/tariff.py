@@ -23,13 +23,23 @@ def center_prices(curve: PriceCurve, centers: np.ndarray) -> np.ndarray:
     return np.array([mci(curve, c) for c in centers])
 
 
-def _require(doc, keys, name: str) -> None:
-    """Raise ValueError unless a tariff file's doc is a JSON object holding every key."""
+# what json.loads makes of each JSON type, by name; a bool is no number
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _require(doc, keys: dict, name: str) -> None:
+    """Raise ValueError unless a tariff file's doc is a JSON object holding
+    every key of `keys`, each with a value of one of the key's types."""
     if not isinstance(doc, dict):
         raise ValueError(f"{name} is not a JSON object")
-    missing = [key for key in keys if key not in doc]
-    if missing:
-        raise ValueError(f"{name} has no {missing[0]!r} key")
+    for key, types in keys.items():
+        if key not in doc:
+            raise ValueError(f"{name} has no {key!r} key")
+        if type(doc[key]) not in types:
+            allowed = " or ".join(dict.fromkeys(_JSON_TYPES[t] for t in types))
+            raise ValueError(f"{name}'s {key!r} must be {allowed}, not "
+                             f"{_JSON_TYPES[type(doc[key])]}")
 
 
 @dataclass
@@ -138,19 +148,30 @@ class Tariff:
         to. A rate tariff needs it; each band's stored `rate_range` must then
         be the exact range of its members' rates. When given, every member
         id must have a rate. Each member id must be listed once. A document
-        that is not an object, or lacks a key its kind reads, is refused.
+        that is not an object, lacks a key its kind reads or holds one as
+        another JSON type (see `_require`), is refused.
         """
         doc = json.loads(text)
-        _require(doc, (), "the tariff")
+        _require(doc, {}, "the tariff")
         kind = doc.get("kind")
         if kind not in ("profile", "rate"):
             raise ValueError(f"unknown clustering kind {kind!r}")
         profile = kind == "profile"
-        _require(doc, ("clusters",) if profile else ("clusters", "method", "rho"), "the tariff")
+        doc.setdefault("metric", "sqeuclidean")   # read by profile tariffs only
+        _require(doc, {"clusters": (list,), "metric": (str,)} if profile else
+                 {"clusters": (list,), "method": (str,), "rho": (int, float)}, "the tariff")
         clusters = doc["clusters"]
+        if not clusters:
+            raise ValueError("the tariff's 'clusters' is empty")
+        shape = "center" if profile else "rate_range"
         for j, cluster in enumerate(clusters):
-            _require(cluster, ("members", "price", "center" if profile else "rate_range"),
-                     f"cluster {j}")
+            _require(cluster, {"members": (list,), "price": (int, float, type(None)),
+                               shape: (list,)}, f"cluster {j}")
+            width = len(clusters[0][shape]) if profile else 2   # every center's length
+            if not set(map(type, cluster["members"])) <= {str}:
+                raise ValueError(f"cluster {j}'s 'members' must hold strings only")
+            if len(cluster[shape]) != width or not set(map(type, cluster[shape])) <= {int, float}:
+                raise ValueError(f"cluster {j}'s {shape!r} must be a list of {width} numbers")
         user_ids = [uid for cluster in clusters for uid in cluster["members"]]
         labels = np.repeat(np.arange(len(clusters)),
                            [len(cluster["members"]) for cluster in clusters])
@@ -172,7 +193,7 @@ class Tariff:
                 prices=None if None in prices else np.array(prices, dtype=float),
                 method="profile",
                 centers=np.array([cluster["center"] for cluster in clusters], dtype=float),
-                metric=doc.get("metric", "sqeuclidean"),
+                metric=doc["metric"],
             )
         if rates is None:
             raise ValueError("a rate tariff needs its members' rates to load")

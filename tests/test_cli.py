@@ -374,6 +374,52 @@ def test_tariff_file_that_is_no_object_is_refused_at_load(tmp_path, tariff_files
         f"gridrates: validation error: {clustering}: {where} is not a JSON object\n")
 
 
+def _edit_cluster(j, **values):
+    return lambda doc: doc["clusters"][j].update(values)
+
+
+@pytest.mark.parametrize("method, edit, message", [
+    pytest.param("gkc", lambda doc: doc.update(clusters=5),
+                 "the tariff's 'clusters' must be a list, not a number", id="clusters-number"),
+    pytest.param("gkc", lambda doc: doc.update(clusters=[]),
+                 "the tariff's 'clusters' is empty", id="clusters-empty"),
+    pytest.param("gkc", lambda doc: doc.update(rho=None),
+                 "the tariff's 'rho' must be a number, not null", id="rho-null"),
+    pytest.param("gkc", lambda doc: doc.update(rho="0.5"),
+                 "the tariff's 'rho' must be a number, not a string", id="rho-string"),
+    pytest.param("gkc", lambda doc: doc.update(rho=True),
+                 "the tariff's 'rho' must be a number, not a boolean", id="rho-bool"),
+    pytest.param("gkc", lambda doc: doc.update(method=7),
+                 "the tariff's 'method' must be a string, not a number", id="method-number"),
+    pytest.param("profile", lambda doc: doc.update(metric=7),
+                 "the tariff's 'metric' must be a string, not a number", id="metric-number"),
+    pytest.param("gkc", _edit_cluster(0, members="u0001"),
+                 "cluster 0's 'members' must be a list, not a string", id="members-string"),
+    pytest.param("gkc", _edit_cluster(1, members=[5]),
+                 "cluster 1's 'members' must hold strings only", id="member-number"),
+    pytest.param("gkc", _edit_cluster(0, price="1.0"),
+                 "cluster 0's 'price' must be a number or null, not a string", id="price-string"),
+    pytest.param("gkc", _edit_cluster(2, rate_range=[1.0]),
+                 "cluster 2's 'rate_range' must be a list of 2 numbers", id="rate-range-short"),
+    pytest.param("gkc", _edit_cluster(0, rate_range={"lo": 1.0}),
+                 "cluster 0's 'rate_range' must be a list, not an object", id="rate-range-object"),
+    pytest.param("profile", lambda doc: doc["clusters"][3]["center"].pop(),
+                 "cluster 3's 'center' must be a list of 24 numbers", id="center-short"),
+    pytest.param("profile", _edit_cluster(1, center=["0.5"] * 24),
+                 "cluster 1's 'center' must be a list of 24 numbers", id="center-strings"),
+])
+def test_tariff_file_with_a_wrongly_typed_value_is_refused_at_load(
+        tmp_path, tariff_files, capsys, method, edit, message):
+    doc = json.loads((tariff_files / f"clustering_{method}.json").read_text())
+    edit(doc)
+    clustering = tmp_path / "edited.json"
+    clustering.write_text(json.dumps(doc))
+    assert _run("diversity", "--config", tariff_files / "config.json", "--out", tmp_path / "out",
+                "--corpus", tariff_files / "corpus.csv", "--clustering", clustering) == 1
+    assert capsys.readouterr().err == (
+        f"gridrates: validation error: {clustering}: {message}\n")
+
+
 def test_package_runs_as_a_module_without_an_install():
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -457,6 +457,35 @@ def test_ingest_duplicate_before_row_error_raises_first(tmp_path, bad_row):
         ingest_csv(path)
 
 
+@pytest.mark.parametrize("chunk_cells", [1, 7])
+def test_ingest_refuses_nul_in_quoted_id_past_its_chunk(tmp_path, monkeypatch, chunk_cells):
+    # 2 slots: chunks of 1 and 3 lines; the third row's quoted id starts on
+    # a chunk's last line and holds its NUL on the line after it
+    monkeypatch.setattr(profiles, "_CHUNK_CELLS", chunk_cells)
+    path = tmp_path / "pop.csv"
+    path.write_text('user_id,t0,t1\na,1,2\nb,3,4\n"x\ny\x00z",5,6\nd,7,8\n', newline="")
+    expected = _outcome(_reference_ingest_csv, path)
+    assert expected == (MalformedRow, "row 4: user_id contains NUL")
+    assert _outcome(ingest_csv, path) == expected
+
+
+@pytest.mark.parametrize("body, error", [
+    ('"a",1,2\n,3,4\nc,5\n', (MalformedRow, "row 3: missing user_id")),
+    ('"a",1,2\nb\x00,3,4\nc,5\n', (MalformedRow, "row 3: user_id contains NUL")),
+    ('"a",1,2\nb,3\n,5,6\n', (InconsistentHorizon, "row 3: 1 slots, header has 2")),
+    ('"a",1,2\nb,3\nc\x00,5,6\n', (InconsistentHorizon, "row 3: 1 slots, header has 2")),
+], ids=["missing-id-then-ragged", "nul-id-then-ragged", "ragged-then-missing-id",
+        "ragged-then-nul-id"])
+def test_ingest_first_of_bad_id_and_ragged_row_decides(tmp_path, body, error):
+    # one chunk, read by csv.reader (a quoted id); its loop stops at the
+    # ragged row and the ids are checked after it
+    path = tmp_path / "pop.csv"
+    path.write_text("user_id,t0,t1\n" + body, newline="")
+    expected = _outcome(_reference_ingest_csv, path)
+    assert expected[0] is error[0] and expected[1].endswith(error[1])
+    assert _outcome(ingest_csv, path) == expected
+
+
 def test_ingest_quoted_id_with_comma(tmp_path):
     path = tmp_path / "pop.csv"
     path.write_text('user_id,t0,t1\n"Smith, J",1,2\n" b ",3,4\n')
