@@ -320,12 +320,6 @@ def test_criterion_holds_for_gkc_by_construction():
     ok, worst = criterion_check(out)
     assert ok
     assert worst <= 0.4 + 1e-12
-    # on a corpus's MCI table, with rho passed explicitly
-    pop, prices = _pipeline(n=100, seed=12)
-    out = gkc(mci_table(pop, prices), rho=0.3)
-    ok, worst = criterion_check(out, rho=0.3)
-    assert ok
-    assert worst <= 0.3 + 1e-12
 
 
 def test_criterion_fails_for_min_priced_full_width_cluster():
@@ -341,3 +335,13 @@ def test_criterion_fails_for_min_priced_full_width_cluster():
     assert not ok
     assert worst == pytest.approx(1.0)
 
+
+def test_criterion_check_against_explicit_table():
+    # the tariff carries its table's rates, so the check needs only rho
+    pop, prices = _pipeline(n=100, seed=12)
+    table = mci_table(pop, prices)
+    out = gkc(table, rho=0.3)
+    assert np.array_equal(out.rates, table.mcis)
+    ok, worst = criterion_check(out, rho=0.3)
+    assert ok
+    assert worst <= 0.3 + 1e-12
