@@ -37,7 +37,7 @@ from .model import PriceCurve, SystemLoad, mci_matrix, price_curve
 from .profiles import Population, aggregate, generate_corpus, ingest_csv, write_csv
 from .robust import criterion_check, gkc, mci_table, skc
 from .tariff import Tariff
-from .vulnerability import Audit, ReportFiles, degenerate_targets, smoothness_bound
+from .vulnerability import Audit, ReportFiles, smoothness_bound
 
 VALIDATION_ERRORS = (
     ConfigError,
@@ -264,7 +264,6 @@ def cmd_vulnerability(args) -> int:
                 n_exact_pairs=audit.n_exact_pairs,
                 n_unreachable_pairs=audit.n_unreachable,
                 n_reported_efforts=files.n_reported,
-                n_degenerate_targets=degenerate_targets(tariff),
                 n_reachable_pairs=audit.n_reachable)
     _write_meta(out, "vulnerability", cfg, meta)
     return 0

@@ -35,9 +35,7 @@ import numpy as np
 from .errors import EmptyClusterRepairFailed, KTooLarge
 from .model import PriceCurve
 from .profiles import Population
-from .tariff import Tariff, center_prices
-
-ASSIGNMENT_METRICS = ("sqeuclidean", "l1")
+from .tariff import ASSIGNMENT_METRICS, Tariff, center_prices
 
 
 # `Clustering` is the old name of `Tariff`, kept while bench/ still imports it

@@ -169,11 +169,11 @@ def _id_problem(uid: str) -> str | None:
 
 def _body_chunks(fh, path, horizon: int):
     """The rows after the header, a chunk at a time: (number of the first
-    row, each row's stripped user id, the rows' cells, None). The cells
-    are rows of `horizon` cells, an array from np.loadtxt or lists of
-    strings from csv.reader (see `_parse_chunk`). A row of the wrong
-    length, without an id or with a NUL in its id ends the body: its chunk
-    holds the rows before it, and in place of None the error it raises.
+    row, each row's stripped user id, the rows' cells). The cells are rows
+    of `horizon` cells, an array from np.loadtxt or lists of strings from
+    csv.reader (see `_parse_chunk`). A row of the wrong length, without an
+    id or with a NUL in its id ends the body: the generator yields the rows
+    before it, then raises its error.
 
     Iterating `fh` (opened with newline="") ends a line at CR, LF or CRLF,
     where csv ends a record outside quotes. So in a chunk of lines with no
@@ -223,9 +223,9 @@ def _body_chunks(fh, path, horizon: int):
             if bad is not None:
                 error = MalformedRow(first_row + bad, _id_problem(ids[bad]))
                 ids, cells = ids[:bad], cells[:bad]
-        yield first_row, ids, cells, error
+        yield first_row, ids, cells
         if error is not None:
-            return
+            raise error
         first_row += len(ids)
 
 
@@ -301,12 +301,10 @@ def ingest_csv(path) -> IngestResult:
                     f"{path}: header must be user_id,t0,...  got {header[:3]}..."
                 )
             horizon = len(header) - 1
-            for first_row, ids, cells, error in _body_chunks(fh, path, horizon):
-                # the rows before a failing row are judged before its error
-                # propagates, so a duplicate id among them still raises first
+            # the rows before a failing row are judged before its error
+            # propagates, so a duplicate id among them still raises first
+            for first_row, ids, cells in _body_chunks(fh, path, horizon):
                 judge(first_row, ids, cells)
-                if error is not None:
-                    raise error
                 if isinstance(cells, list):
                     csv_rows += len(ids)
     except UnicodeDecodeError:

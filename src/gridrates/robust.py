@@ -103,30 +103,23 @@ def gkc(table: MciTable, rho: float) -> Tariff:
 
 
 def _bisect_ranges(mcis: np.ndarray, idx: np.ndarray, rho: float, depth: int = 0):
-    """Recursively split an index set until its rate range fits within 2*rho.
+    """Recursively split an index set until every piece's rate range spans
+    at most 2*rho.
 
     Returns the pieces and the most splits any of them went through, counting
     the `depth` splits that made `idx`.
     """
-    if depth > SKC_MAX_DEPTH:
-        raise RecursionDepthExceeded(f"bisection deeper than {SKC_MAX_DEPTH}")
     values = mcis[idx]
     m, big_m = values.min(), values.max()
-    if big_m - m < 2.0 * rho:
+    if big_m - m <= 2.0 * rho:
         return [idx], depth
+    if depth > SKC_MAX_DEPTH:
+        raise RecursionDepthExceeded(f"bisection deeper than {SKC_MAX_DEPTH}")
     # nearer endpoint wins; ties go with the minimum side
     to_low = np.abs(values - m) <= np.abs(values - big_m)
-    low, high = idx[to_low], idx[~to_low]
-    pieces, deepest = [], depth + 1
-    for half in (low, high):
-        r = mcis[half]
-        if r.max() - r.min() > 2.0 * rho:
-            sub, sub_depth = _bisect_ranges(mcis, half, rho, depth + 1)
-            pieces.extend(sub)
-            deepest = max(deepest, sub_depth)
-        else:
-            pieces.append(half)
-    return pieces, deepest
+    (low, low_depth), (high, high_depth) = (
+        _bisect_ranges(mcis, half, rho, depth + 1) for half in (idx[to_low], idx[~to_low]))
+    return low + high, max(low_depth, high_depth)
 
 
 def skc(

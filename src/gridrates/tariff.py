@@ -17,6 +17,9 @@ import numpy as np
 
 from .model import PriceCurve, mci
 
+# the distances a profile tariff's users may be assigned by
+ASSIGNMENT_METRICS = ("sqeuclidean", "l1")
+
 
 def center_prices(curve: PriceCurve, centers: np.ndarray) -> np.ndarray:
     """A profile tariff's prices: the marginal cost impact of each center."""
@@ -149,7 +152,8 @@ class Tariff:
         be the exact range of its members' rates. When given, every member
         id must have a rate. Each member id must be listed once. A document
         that is not an object, lacks a key its kind reads or holds one as
-        another JSON type (see `_require`), is refused.
+        another JSON type (see `_require`), is refused, as is a `k` other
+        than the number of clusters, or an unknown `metric` or `method`.
         """
         doc = json.loads(text)
         _require(doc, {}, "the tariff")
@@ -172,6 +176,13 @@ class Tariff:
                 raise ValueError(f"cluster {j}'s 'members' must hold strings only")
             if len(cluster[shape]) != width or not set(map(type, cluster[shape])) <= {int, float}:
                 raise ValueError(f"cluster {j}'s {shape!r} must be a list of {width} numbers")
+        _require(doc, {"k": (int, float)}, "the tariff")
+        known = {"k": (len(clusters),), **({"metric": ASSIGNMENT_METRICS} if profile else
+                                           {"method": ("gkc", "skc")})}
+        for key, values in known.items():
+            if doc[key] not in values:
+                raise ValueError(f"the tariff's {key!r} must be "
+                                 f"{' or '.join(map(repr, values))}, not {doc[key]!r}")
         user_ids = [uid for cluster in clusters for uid in cluster["members"]]
         labels = np.repeat(np.arange(len(clusters)),
                            [len(cluster["members"]) for cluster in clusters])

@@ -254,7 +254,6 @@ def test_vulnerability_builds_efforts_once(tmp_path, small_config, monkeypatch,
     assert meta["effort_s"] > 0
     assert meta["n_effort_pairs"] == 300 * (k - 1)
     assert meta["n_exact_pairs"] == len(pairs)
-    assert 0 <= meta["n_degenerate_targets"] <= meta["n_unreachable_pairs"]
     assert meta["n_unreachable_pairs"] < meta["n_effort_pairs"]
     assert meta["n_reachable_pairs"] == smooth["n_reachable_pairs"]
 
@@ -324,11 +323,20 @@ def _list_twice(doc, by):   # cluster `by` also lists cluster 0's first member
                  "every cluster must be nonempty", id="empty-cluster"),
     pytest.param("gkc", lambda doc: doc.update(kind="band"),
                  "unknown clustering kind 'band'", id="kind"),
+    pytest.param("gkc", lambda doc: doc.update(k=999),
+                 "the tariff's 'k' must be {k}, not 999", id="gkc-k"),
+    pytest.param("profile", lambda doc: doc.update(k=999),
+                 "the tariff's 'k' must be {k}, not 999", id="profile-k"),
+    pytest.param("gkc", lambda doc: doc.update(method="bogus"),
+                 "the tariff's 'method' must be 'gkc' or 'skc', not 'bogus'", id="method"),
+    pytest.param("profile", lambda doc: doc.update(metric="bogus"),
+                 "the tariff's 'metric' must be 'sqeuclidean' or 'l1', not 'bogus'",
+                 id="metric"),
 ])
 def test_untrustworthy_tariff_file_is_refused_at_load(
         tmp_path, tariff_files, capsys, command, method, edit, message):
     doc = json.loads((tariff_files / f"clustering_{method}.json").read_text())
-    message = message.format(first=doc["clusters"][0]["members"][0])
+    message = message.format(first=doc["clusters"][0]["members"][0], k=doc["k"])
     edit(doc)
     clustering = tmp_path / "edited.json"
     clustering.write_text(json.dumps(doc))
@@ -342,9 +350,9 @@ def test_untrustworthy_tariff_file_is_refused_at_load(
 @pytest.mark.parametrize("command", ["vulnerability", "diversity"])
 @pytest.mark.parametrize("method, cluster, key", [
     ("gkc", None, "clusters"), ("gkc", None, "rho"), ("gkc", None, "method"),
-    ("gkc", 0, "members"), ("gkc", 0, "price"), ("gkc", 0, "rate_range"),
-    ("profile", None, "clusters"), ("profile", 2, "members"), ("profile", 2, "price"),
-    ("profile", 2, "center"),
+    ("gkc", None, "k"), ("gkc", 0, "members"), ("gkc", 0, "price"), ("gkc", 0, "rate_range"),
+    ("profile", None, "clusters"), ("profile", None, "k"), ("profile", 2, "members"),
+    ("profile", 2, "price"), ("profile", 2, "center"),
 ])
 def test_tariff_file_without_a_key_is_refused_at_load(
         tmp_path, tariff_files, capsys, command, method, cluster, key):
@@ -393,6 +401,10 @@ def _edit_cluster(j, **values):
                  "the tariff's 'method' must be a string, not a number", id="method-number"),
     pytest.param("profile", lambda doc: doc.update(metric=7),
                  "the tariff's 'metric' must be a string, not a number", id="metric-number"),
+    pytest.param("gkc", lambda doc: doc.update(k="26"),
+                 "the tariff's 'k' must be a number, not a string", id="k-string"),
+    pytest.param("profile", lambda doc: doc.update(k=None),
+                 "the tariff's 'k' must be a number, not null", id="k-null"),
     pytest.param("gkc", _edit_cluster(0, members="u0001"),
                  "cluster 0's 'members' must be a list, not a string", id="members-string"),
     pytest.param("gkc", _edit_cluster(1, members=[5]),
@@ -731,8 +743,7 @@ _SIDECAR_KEYS = {
         "criterion_ok", "criterion_worst_gap"},
     "meta_vulnerability.json": _META_KEYS | _LOAD_KEYS | {
         "theta_ref", "strict", "effort_s", "n_effort_pairs", "n_exact_pairs",
-        "n_unreachable_pairs", "n_reported_efforts", "n_degenerate_targets",
-        "n_reachable_pairs"},
+        "n_unreachable_pairs", "n_reported_efforts", "n_reachable_pairs"},
     "meta_sensitivity.json": _META_KEYS | _LOAD_KEYS | {
         "nonpositive_prices_a", "rho_points", "a_points"},
     "meta_diversity.json": _META_KEYS | _LOAD_KEYS | {"drilled", "drill_kmeans"},

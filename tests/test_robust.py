@@ -292,6 +292,8 @@ def test_skc_recursion_depth_guard():
     ([0.0, 1.0], 0),          # fits 2*rho: no split
     ([0.0, 1.0, 10.0], 1),    # one split; both halves fit
     ([0.0, 3.0, 10.0], 2),    # the low half {0, 3} is split again
+    ([0.0, 2.0], 0),          # a span of exactly 2*rho is kept whole
+    ([0.0, 2.0, 5.0], 1),     # and so is such a half: {0, 2} is not split again
 ])
 def test_skc_bisection_reports_its_depth(mcis, depth):
     from gridrates.robust import _bisect_ranges
