@@ -16,13 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import DEFAULT_A, DEFAULT_B
 from .kmeans import kmeans_profiles
 from .model import CostModel, PriceCurve, SystemLoad, mci_matrix, price_curve
 from .profiles import aggregate, generate_corpus, residential_spec, commercial_spec
 from .robust import MciTable, criterion_check, gkc, mci_table, minimal_clusters_oracle, skc
 from .vulnerability import measure_smoothness, min_switch_effort, smoothness_bound, theta_sweep
 
-DEFAULT_COST = CostModel(0.00012, -37.38)
+DEFAULT_COST = CostModel(DEFAULT_A, DEFAULT_B)
 
 
 @dataclass
@@ -144,7 +145,7 @@ def check_band_criterion(n_seeds: int = 100) -> CheckResult:
             refined = skc(pop, prices, rho, base)
             greedy = gkc(mci_table(pop, prices), rho)
             for clustering in (refined, greedy):
-                ok, gap = criterion_check(clustering, rho=rho)
+                ok, gap = criterion_check(clustering)
                 worst_gap = max(worst_gap, gap)
                 failures += 0 if ok else 1
         return failures, worst_gap

@@ -33,7 +33,7 @@ from .errors import (
     ZeroProfile,
 )
 from .kmeans import kmeans_profiles, sigma
-from .model import PriceCurve, SystemLoad, mci_matrix, price_curve
+from .model import PriceCurve, mci_matrix, price_curve
 from .profiles import Population, aggregate, generate_corpus, ingest_csv, write_csv
 from .robust import criterion_check, gkc, mci_table, skc
 from .tariff import Tariff
@@ -105,26 +105,28 @@ def _write_meta(out_dir: Path, command: str, cfg: RunConfig, meta: dict) -> None
     _write_json(out_dir / f"meta_{command}.json", doc)
 
 
-def _load_population(args, cfg: RunConfig, meta: dict) -> Population:
-    """The corpus; the sidecar gets its size, the rows its ingest dropped and
-    the rows it read with csv.reader, the slow path."""
-    if args.corpus:
-        result = ingest_csv(args.corpus)
-        pop, dropped, csv_rows = result.population, result.excluded_rows, result.csv_rows
-    else:
-        pop, dropped, csv_rows = generate_corpus(cfg.corpus_spec()), [], 0
-    meta.update(n_users=pop.n_users, n_excluded=len(dropped), csv_rows=csv_rows,
-                excluded_by_reason=dict(Counter(reason for _, reason in dropped)))
-    return pop
-
-
-def _price_curve(cfg: RunConfig, load: SystemLoad, meta: dict) -> PriceCurve:
-    """The config's price curve; the sidecar gets the count and minimum of its
-    prices <= 0 (what `price_curve` warns of), or None when it has none."""
-    curve = price_curve(cfg.cost_model(), load)
+def _load_inputs(args, cfg: RunConfig, meta: dict):
+    """Every corpus command's `load` stage: the corpus (generated from the
+    config without --corpus), its load, the config's price curve, and the
+    --clustering tariff or None. The sidecar gets the corpus size, the rows
+    its ingest dropped and the rows it read with csv.reader, the slow path,
+    and the count and minimum of the curve's prices <= 0 (what `price_curve`
+    warns of), or None when it has none."""
+    with _stage(meta["stages"], "load"):
+        if args.corpus:
+            result = ingest_csv(args.corpus)
+            pop, dropped, csv_rows = result.population, result.excluded_rows, result.csv_rows
+        else:
+            pop, dropped, csv_rows = generate_corpus(cfg.corpus_spec()), [], 0
+        load = aggregate(pop)
+        curve = price_curve(cfg.cost_model(), load)
+        tariff = (_load_clustering(args.clustering, cfg, pop, curve)
+                  if getattr(args, "clustering", None) else None)
     bad = curve.prices[curve.prices <= 0]
-    meta["nonpositive_prices"] = {"n": bad.size, "min": bad.min()} if bad.size else None
-    return curve
+    meta.update(n_users=pop.n_users, n_excluded=len(dropped), csv_rows=csv_rows,
+                excluded_by_reason=dict(Counter(reason for _, reason in dropped)),
+                nonpositive_prices={"n": bad.size, "min": bad.min()} if bad.size else None)
+    return pop, load, curve, tariff
 
 
 def _load_clustering(path, cfg: RunConfig, pop: Population, curve: PriceCurve) -> Tariff:
@@ -156,11 +158,8 @@ def cmd_datagen(args) -> int:
 
 def cmd_price(args) -> int:
     cfg, out, meta = _setup(args)
-    with _stage(meta["stages"], "load"):
-        pop = _load_population(args, cfg, meta)
+    pop, load, prices, _ = _load_inputs(args, cfg, meta)
     with _stage(meta["stages"], "compute"):
-        load = aggregate(pop)
-        prices = _price_curve(cfg, load, meta)
         rows = [(t, load.loads[t], prices.prices[t]) for t in range(pop.horizon)]
     with _stage(meta["stages"], "write"):
         _write_table(out / "price.csv", ["t", "load", "price"], rows, cfg.hash())
@@ -189,11 +188,8 @@ def _kmeans_facts(tariff: Tariff) -> dict:
 def cmd_cluster(args) -> int:
     cfg, out, meta = _setup(args)
     meta["method"] = args.method
-    with _stage(meta["stages"], "load"):
-        pop = _load_population(args, cfg, meta)
-
+    pop, _, prices, _ = _load_inputs(args, cfg, meta)
     with _stage(meta["stages"], "compute"):
-        prices = _price_curve(cfg, aggregate(pop), meta)
         if args.method == "gkc":
             with _stage(meta, "wall_time_s"):
                 tariff = gkc(mci_table(pop, prices), cfg.rho)
@@ -224,10 +220,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_vulnerability(args) -> int:
     cfg, out, meta = _setup(args)
-    with _stage(meta["stages"], "load"):
-        pop = _load_population(args, cfg, meta)
-        curve = _price_curve(cfg, aggregate(pop), meta)
-        tariff = _load_clustering(args.clustering, cfg, pop, curve)
+    pop, _, _, tariff = _load_inputs(args, cfg, meta)
     thetas = cfg.theta_grid()
     theta_ref = float(thetas[-1])
     bound = smoothness_bound(cfg.rho, theta_ref)
@@ -294,13 +287,10 @@ def cmd_sensitivity(args) -> int:
     cfg, out, meta = _setup(args)
     rho_grid = rho_grid or list(np.round(np.geomspace(0.05, 5.0, 20), 9))
     a_grid = a_grid or [cfg.a / 2, cfg.a, cfg.a * 2]
-    with _stage(meta["stages"], "load"):
-        pop = _load_population(args, cfg, meta)
-    loads = aggregate(pop)
+    pop, loads, _, _ = _load_inputs(args, cfg, meta)
     rows = []
     nonpositive_a = []   # the grid's curvatures whose price curve has a price <= 0
     with _stage(meta["stages"], "compute"):
-        _price_curve(cfg, loads, meta)   # the config's own curve, for the sidecar
         for a in a_grid:
             curve = price_curve(cfg.with_overrides(a=a).cost_model(), loads)
             if np.any(curve.prices <= 0):
@@ -321,11 +311,7 @@ def cmd_diversity(args) -> int:
     if args.drill_k < 1:
         raise ConfigError(f"--drill-k must be >= 1, got {args.drill_k}")
     cfg, out, meta = _setup(args)
-    with _stage(meta["stages"], "load"):
-        pop = _load_population(args, cfg, meta)
-        prices = _price_curve(cfg, aggregate(pop), meta)
-        tariff = _load_clustering(args.clustering, cfg, pop, prices)
-
+    pop, _, prices, tariff = _load_inputs(args, cfg, meta)
     with _stage(meta["stages"], "compute"):
         sig = sigma(tariff, pop)
         sizes = np.bincount(tariff.labels, minlength=tariff.k).tolist()

@@ -184,11 +184,9 @@ def minimal_clusters_oracle(table: MciTable, rho: float, cap: int = 2000) -> int
     return int(f[n])
 
 
-def criterion_check(tariff: Tariff, rho: float | None = None):
-    """Verify |rate_i - price of i's cluster| <= rho + CRITERION_ATOL for every user.
-
-    Returns (ok, worst_gap). Uses the tariff's own rho unless overridden.
+def criterion_check(tariff: Tariff):
+    """Verify |rate_i - price of i's cluster| <= rho + CRITERION_ATOL for every
+    user, at the tariff's own rho. Returns (ok, worst_gap).
     """
-    rho = tariff.rho if rho is None else rho
     worst = float(np.abs(tariff.rates - tariff.prices[tariff.labels]).max())
-    return bool(worst <= rho + CRITERION_ATOL), worst
+    return bool(worst <= tariff.rho + CRITERION_ATOL), worst

@@ -161,7 +161,6 @@ class Tariff:
         if kind not in ("profile", "rate"):
             raise ValueError(f"unknown clustering kind {kind!r}")
         profile = kind == "profile"
-        doc.setdefault("metric", "sqeuclidean")   # read by profile tariffs only
         _require(doc, {"clusters": (list,), "metric": (str,)} if profile else
                  {"clusters": (list,), "method": (str,), "rho": (int, float)}, "the tariff")
         clusters = doc["clusters"]

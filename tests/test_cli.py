@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -351,8 +352,8 @@ def test_untrustworthy_tariff_file_is_refused_at_load(
 @pytest.mark.parametrize("method, cluster, key", [
     ("gkc", None, "clusters"), ("gkc", None, "rho"), ("gkc", None, "method"),
     ("gkc", None, "k"), ("gkc", 0, "members"), ("gkc", 0, "price"), ("gkc", 0, "rate_range"),
-    ("profile", None, "clusters"), ("profile", None, "k"), ("profile", 2, "members"),
-    ("profile", 2, "price"), ("profile", 2, "center"),
+    ("profile", None, "clusters"), ("profile", None, "k"), ("profile", None, "metric"),
+    ("profile", 2, "members"), ("profile", 2, "price"), ("profile", 2, "center"),
 ])
 def test_tariff_file_without_a_key_is_refused_at_load(
         tmp_path, tariff_files, capsys, command, method, cluster, key):
@@ -766,6 +767,39 @@ def test_every_sidecar_has_its_key_set(tmp_path, small_config, monkeypatch):
     got = {path.name: sorted(json.loads(path.read_text()))
            for path in tmp_path.glob("meta_*.json")}
     assert got == {name: sorted(keys) for name, keys in _SIDECAR_KEYS.items()}
+
+
+def test_every_corpus_command_reads_its_inputs_once_in_its_load_stage(
+        tmp_path, tariff_files, monkeypatch):
+    # each call of the corpus, load and price-curve builders, with its outermost open stage
+    calls, open_stages = [], []
+    stage = cli._stage
+
+    @contextmanager
+    def named_stage(record, name):
+        open_stages.append(name)
+        with stage(record, name):
+            yield
+        open_stages.pop()
+
+    monkeypatch.setattr(cli, "_stage", named_stage)
+    for name in ("ingest_csv", "aggregate", "price_curve"):
+        def counted(*args, _name=name, _fn=getattr(cli, name)):
+            calls.append((_name, open_stages[0]))
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+
+    tariff = ("--clustering", tariff_files / "clustering_profile.json")
+    for argv in (("price",), ("cluster", "--method", "gkc"), ("vulnerability", *tariff),
+                 ("sensitivity", "--rho-grid", "0.5", "--a-grid", "0.00012,0.00024"),
+                 ("diversity", *tariff, "--drill", "0")):
+        calls.clear()
+        assert _run(argv[0], "--config", tariff_files / "config.json", "--out",
+                    tmp_path / argv[0], "--corpus", tariff_files / "corpus.csv", *argv[1:]) == 0
+        # sensitivity prices its --a-grid besides, in `compute`
+        grid = [("price_curve", "compute")] * 2 if argv[0] == "sensitivity" else []
+        assert calls == [("ingest_csv", "load"), ("aggregate", "load"),
+                         ("price_curve", "load"), *grid], argv[0]
 
 
 def test_sidecars_record_dropped_efforts_and_clustering_work(tmp_path, small_config):

@@ -339,11 +339,11 @@ def test_criterion_fails_for_min_priced_full_width_cluster():
 
 
 def test_criterion_check_against_explicit_table():
-    # the tariff carries its table's rates, so the check needs only rho
+    # the tariff carries its table's rates and its rho, so the check needs nothing else
     pop, prices = _pipeline(n=100, seed=12)
     table = mci_table(pop, prices)
     out = gkc(table, rho=0.3)
     assert np.array_equal(out.rates, table.mcis)
-    ok, worst = criterion_check(out, rho=0.3)
+    ok, worst = criterion_check(out)
     assert ok
     assert worst <= 0.3 + 1e-12
