@@ -16,7 +16,6 @@ from .errors import (
     KTooLarge,
     MalformedRow,
     PriceWarning,
-    RecursionDepthExceeded,
     ZeroProfile,
 )
 from .model import (

@@ -244,7 +244,7 @@ def check_refine_vs_greedy() -> CheckResult:
     rho = 0.5
     start = time.perf_counter()
 
-    base = kmeans_profiles(reference, k=30, prices=prices, seed=7, max_iters=300)
+    base = kmeans_profiles(reference, k=30, prices=prices, seed=7)
     refined = skc(reference, prices, rho, base)
     table = mci_table(reference, prices)
     greedy = gkc(table, rho)
@@ -263,7 +263,7 @@ def check_refine_vs_greedy() -> CheckResult:
         sub = pool.subset(n)
         sub_table = mci_table(sub, prices)  # fixed reference price curve
         greedy_counts.append(gkc(sub_table, sweep_rho).k)
-        sub_base = kmeans_profiles(sub, k=30, prices=prices, seed=7, max_iters=300)
+        sub_base = kmeans_profiles(sub, k=30, prices=prices, seed=7)
         refined_counts.append(skc(sub, prices, sweep_rho, sub_base).k)
 
     elapsed = time.perf_counter() - start
@@ -329,8 +329,7 @@ def check_vulnerability_monotonicity() -> CheckResult:
     def run():
         pop = generate_corpus(residential_spec(2000, seed=808, total_range=(4000.0, 9000.0)))
         prices = price_curve(DEFAULT_COST, aggregate(pop))
-        clustering = kmeans_profiles(
-            pop, k=24, prices=prices, seed=808, metric="l1", max_iters=300)
+        clustering = kmeans_profiles(pop, k=24, prices=prices, seed=808, metric="l1")
         thetas = np.round(np.arange(0, 41) * 0.005, 10)
         rows = theta_sweep(clustering, thetas, pop=pop)
         pcts = [pct for _, pct, _ in rows]

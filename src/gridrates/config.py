@@ -17,6 +17,7 @@ from .errors import ConfigError
 from .model import CostModel
 from .profiles import CSV_FLOAT_FMT  # noqa: F401  (re-exported for result tables)
 from .profiles import CorpusSpec, commercial_spec, residential_spec
+from .tariff import ASSIGNMENT_METRICS, _require, _require_known
 
 DEFAULT_A = 0.00012
 DEFAULT_B = -37.38
@@ -65,6 +66,16 @@ class RunConfig:
         return grid[grid <= self.theta_max]
 
     def validate(self) -> "RunConfig":
+        # each key takes its default's JSON type, a float key an integer too, k null too
+        doc = vars(self)
+        types = {key: (int, float) if type(value) is float else (type(value),)
+                 for key, value in vars(RunConfig()).items()}
+        try:
+            _require(doc, {**types, "k": (int, type(None))}, "the config")
+            _require_known(doc, {"corpus_kind": tuple(DEFAULT_K),
+                                 "metric": ASSIGNMENT_METRICS}, "the config")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         self.cost_model()
         self.corpus_spec()
         if not 0 < self.rho < math.inf:
@@ -94,15 +105,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ConfigError("the config is not a JSON object")
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            cfg = cls(**doc)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
-        return cfg.validate()
+        return cls(**doc).validate()
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":

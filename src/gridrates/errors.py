@@ -41,10 +41,6 @@ class InstanceTooLarge(GridRatesError):
     """Instance exceeds the configured cap for the exact partition search."""
 
 
-class RecursionDepthExceeded(GridRatesError):
-    """Bisection recursion exceeded its defensive depth cap."""
-
-
 class ConfigError(GridRatesError):
     """A run configuration failed validation."""
 

@@ -16,7 +16,7 @@ An iteration does not build the (users x k) distance matrix:
   by how far the centers moved. Only users whose bounds overlap get a
   distance row; after an empty-cluster repair every user gets one.
 - The member sums, one ``np.bincount`` per slot over a contiguous copy of
-  the slot's column, give both the new centers and the objective trace.
+  the slot's column, give the new centers.
 
 The labels are those of the plain loop that takes the argmin of
 ``_distances`` every iteration, bit for bit. The bound test and the
@@ -24,8 +24,7 @@ cross-term ranking keep a slack of many times the rounding of either
 computation, and a user whose two nearest centers lie within that slack
 is ranked by ``_distances`` itself; l1 rows are ``_distances`` rows. So
 centers, iteration count, fixpoint flag, repairs and inertia are that
-loop's too; only the objective trace, now taken from the member sums, may
-differ in its last bits.
+loop's too.
 """
 
 from __future__ import annotations
@@ -40,8 +39,8 @@ from .tariff import ASSIGNMENT_METRICS, Tariff, center_prices
 
 # `Clustering` is the old name of `Tariff`, kept while bench/ still imports it
 Clustering = Tariff
-# centers that move less than this (max abs coordinate) count as converged
-CENTER_TOL = 1e-9
+# the most Lloyd iterations of one run; a run that reaches it has no fixpoint
+MAX_ITERS = 300
 # floats in one (users, k, T) block of the l1 distances' temporary, 2 MB
 _L1_BLOCK_FLOATS = 262_144
 
@@ -199,7 +198,6 @@ def kmeans_profiles(
     k: int,
     prices: PriceCurve | None = None,
     seed: int = 0,
-    max_iters: int = 100,
     metric: str = "sqeuclidean",
 ) -> Tariff:
     """Cluster normalized profiles; optionally rate each cluster center.
@@ -207,6 +205,8 @@ def kmeans_profiles(
     Deterministic for a fixed seed, and invariant to input row order: users
     are handled in sorted-id order throughout. Cluster rates, when a price
     curve is given, are the marginal cost impact of each center profile.
+    The loop stops at a label fixpoint (`label_fixpoint`), when an empty-cluster
+    repair repeats itself, or after `MAX_ITERS` iterations.
     """
     if metric not in ASSIGNMENT_METRICS:
         raise ValueError(f"metric must be one of {ASSIGNMENT_METRICS}")
@@ -223,16 +223,11 @@ def kmeans_profiles(
     n = points.shape[0]
     bounds = _Bounds(points, metric)
     columns = np.ascontiguousarray(points.T)
-    total = bounds.norms.sum()
 
     labels = None
-    trace = []
-    converged = False
-    fixpoint = False
-    n_iter = 0
     repairs = 0
     every_row = True   # no bounds yet, or a repair moved labels they do not follow
-    for n_iter in range(1, max_iters + 1):
+    for n_iter in range(1, MAX_ITERS + 1):
         if every_row:
             rows, new_labels = np.arange(n), np.empty(n, dtype=np.intp)
         else:
@@ -246,19 +241,14 @@ def kmeans_profiles(
             new_labels, centers = _repair_empty(new_labels, dist, centers, points, empty)
             repairs += len(empty)
             sums, counts = _member_sums(columns, new_labels, k)
-        # the sum of ||p - c||^2 over users, expanded around the member sums
-        trace.append(float(total - 2.0 * (centers * sums).sum()
-                           + counts @ (centers**2).sum(axis=1)))
         same = labels is not None and np.array_equal(new_labels, labels)
         stable = same and not repaired
         labels = new_labels
         # at a label fixpoint the entering centers are exactly the member
         # means of the (unchanged) labels, so centers and labels agree
-        if stable or (converged and not repaired):
-            fixpoint = stable
+        if stable:
             break
         new_centers = sums / counts[:, None]
-        converged = np.abs(new_centers - centers).max() < CENTER_TOL
         bounds.move(centers, new_centers, labels)
         every_row = repaired
         centers = new_centers
@@ -277,8 +267,7 @@ def kmeans_profiles(
         metric=metric,
         n_iter=n_iter,
         inertia=inertia,
-        label_fixpoint=fixpoint,
-        objective_trace=trace,
+        label_fixpoint=stable,
         empty_cluster_repairs=repairs,
     )
 

@@ -98,7 +98,7 @@ def mci(prices: PriceCurve, profile) -> float:
     always between min(p) and max(p). The pipeline rates users with
     `mci_matrix`; this one-profile form is the reference it is tested against.
     """
-    p = prices.prices if isinstance(prices, PriceCurve) else np.asarray(prices, float)
+    p = prices.prices
     l = np.asarray(profile, dtype=float)
     if l.shape != p.shape:
         raise ValueError(f"profile has {l.size} slots, price curve has {p.size}")
@@ -110,7 +110,7 @@ def mci(prices: PriceCurve, profile) -> float:
 
 def mci_matrix(prices: PriceCurve, consumption: np.ndarray) -> np.ndarray:
     """Vectorized `mci` over an (N, T) consumption matrix."""
-    p = prices.prices if isinstance(prices, PriceCurve) else np.asarray(prices, float)
+    p = prices.prices
     consumption = np.asarray(consumption, dtype=float)
     totals = consumption.sum(axis=1)
     if np.any(totals <= 0):
@@ -125,7 +125,7 @@ def billing_identity_check(prices: PriceCurve, profile, rel_tol: float = REL_TOL
     The identity is algebraic, so this should hold for every valid input up
     to floating-point rounding.
     """
-    p = prices.prices if isinstance(prices, PriceCurve) else np.asarray(prices, float)
+    p = prices.prices
     l = np.asarray(profile, dtype=float)
     bill = float(np.dot(p, l))
     recovered = mci(prices, profile) * l.sum()

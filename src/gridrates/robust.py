@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyPopulation, InstanceTooLarge, RecursionDepthExceeded
+from .errors import EmptyPopulation, InstanceTooLarge
 from .model import PriceCurve, mci_matrix
 from .profiles import Population
 from .tariff import Tariff
 
-SKC_MAX_DEPTH = 64
 # slack of the band criterion check: absorbs the half-ulp rounding of
 # midpoint prices
 CRITERION_ATOL = 1e-12
@@ -102,24 +101,26 @@ def gkc(table: MciTable, rho: float) -> Tariff:
     )
 
 
-def _bisect_ranges(mcis: np.ndarray, idx: np.ndarray, rho: float, depth: int = 0):
-    """Recursively split an index set until every piece's rate range spans
-    at most 2*rho.
+def _bisect_ranges(mcis: np.ndarray, idx: np.ndarray, rho: float):
+    """Split an index set until every piece's rate range spans at most 2*rho.
 
-    Returns the pieces and the most splits any of them went through, counting
-    the `depth` splits that made `idx`.
+    Returns the pieces, lower halves first, and the most splits any of them
+    went through. A split leaves both halves smaller, so the splitting ends.
     """
-    values = mcis[idx]
-    m, big_m = values.min(), values.max()
-    if big_m - m <= 2.0 * rho:
-        return [idx], depth
-    if depth > SKC_MAX_DEPTH:
-        raise RecursionDepthExceeded(f"bisection deeper than {SKC_MAX_DEPTH}")
-    # nearer endpoint wins; ties go with the minimum side
-    to_low = np.abs(values - m) <= np.abs(values - big_m)
-    (low, low_depth), (high, high_depth) = (
-        _bisect_ranges(mcis, half, rho, depth + 1) for half in (idx[to_low], idx[~to_low]))
-    return low + high, max(low_depth, high_depth)
+    pieces, deepest, todo = [], 0, [(idx, 0)]
+    while todo:
+        part, depth = todo.pop()
+        values = mcis[part]
+        m, big_m = values.min(), values.max()
+        if big_m - m <= 2.0 * rho:
+            pieces.append(part)
+            deepest = max(deepest, depth)
+            continue
+        # nearer endpoint wins; ties go with the minimum side
+        to_low = np.abs(values - m) <= np.abs(values - big_m)
+        # the upper half is pushed first, so the lower half is split first
+        todo += [(part[~to_low], depth + 1), (part[to_low], depth + 1)]
+    return pieces, deepest
 
 
 def skc(
@@ -131,8 +132,8 @@ def skc(
     """Bisecting refinement of a profile clustering to meet the band criterion.
 
     Each profile-based cluster is split on the rate axis (nearer of the
-    subset's min / max rate, recursively) until every piece spans at most
-    2*rho; piece prices are range midpoints.
+    subset's min / max rate), and each half again, until every piece spans
+    at most 2*rho; piece prices are range midpoints.
     """
     _check_rho(rho)
     mcis_all = mci_matrix(prices, pop.consumption)

@@ -32,17 +32,26 @@ _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "a numbe
 
 
 def _require(doc, keys: dict, name: str) -> None:
-    """Raise ValueError unless a tariff file's doc is a JSON object holding
-    every key of `keys`, each with a value of one of the key's types."""
+    """Raise ValueError unless a JSON doc is an object holding every key of
+    `keys`, each with a value of one of the key's types."""
     if not isinstance(doc, dict):
         raise ValueError(f"{name} is not a JSON object")
     for key, types in keys.items():
         if key not in doc:
             raise ValueError(f"{name} has no {key!r} key")
         if type(doc[key]) not in types:
-            allowed = " or ".join(dict.fromkeys(_JSON_TYPES[t] for t in types))
+            names = {**_JSON_TYPES, int: "a number" if float in types else "an integer"}
+            allowed = " or ".join(dict.fromkeys(names[t] for t in types))
             raise ValueError(f"{name}'s {key!r} must be {allowed}, not "
                              f"{_JSON_TYPES[type(doc[key])]}")
+
+
+def _require_known(doc: dict, known: dict, name: str) -> None:
+    """Raise ValueError unless each key of `known` holds one of its values."""
+    for key, values in known.items():
+        if doc[key] not in values:
+            raise ValueError(f"{name}'s {key!r} must be "
+                             f"{' or '.join(map(repr, values))}, not {doc[key]!r}")
 
 
 @dataclass
@@ -63,7 +72,6 @@ class Tariff:
     n_iter: int = 0
     inertia: float = 0.0
     label_fixpoint: bool = False         # stopped with labels == argmin(centers)
-    objective_trace: list | None = None  # objective after each assignment step
     empty_cluster_repairs: int = 0       # empty clusters reseeded on a far point
     # rate-band tariffs
     rates: np.ndarray | None = None      # (N,) each user's rate
@@ -178,10 +186,7 @@ class Tariff:
         _require(doc, {"k": (int, float)}, "the tariff")
         known = {"k": (len(clusters),), **({"metric": ASSIGNMENT_METRICS} if profile else
                                            {"method": ("gkc", "skc")})}
-        for key, values in known.items():
-            if doc[key] not in values:
-                raise ValueError(f"the tariff's {key!r} must be "
-                                 f"{' or '.join(map(repr, values))}, not {doc[key]!r}")
+        _require_known(doc, known, "the tariff")
         user_ids = [uid for cluster in clusters for uid in cluster["members"]]
         labels = np.repeat(np.arange(len(clusters)),
                            [len(cluster["members"]) for cluster in clusters])
@@ -191,8 +196,9 @@ class Tariff:
             raise ValueError(f"user id {uid!r} is listed {n} times, by clusters {listed}")
         prices = [cluster["price"] for cluster in clusters]
         if rates is not None:
-            missing = [uid for uid in user_ids if uid not in rates]
-            if missing:
+            member_rates = [rates.get(uid) for uid in user_ids]
+            if None in member_rates:
+                missing = [uid for uid, rate in zip(user_ids, member_rates) if rate is None]
                 raise ValueError(
                     f"{len(missing)} clustering user ids are not in the corpus "
                     f"(first: {missing[0]!r}); was it clustered from another corpus?")
@@ -212,7 +218,7 @@ class Tariff:
             labels=labels,
             prices=np.array(prices, dtype=float),
             method=doc["method"],
-            rates=np.array([rates[uid] for uid in user_ids], dtype=float),
+            rates=np.array(member_rates, dtype=float),
             rho=float(doc["rho"]),
         )
         stored = np.array([cluster["rate_range"] for cluster in clusters], dtype=float)

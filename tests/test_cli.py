@@ -15,8 +15,8 @@ from gridrates import (Population, __version__, acceptance, aggregate, cli, kmea
                        price_curve, vulnerability)
 from gridrates.config import MAX_THETA_POINTS, RunConfig
 from gridrates.errors import ConfigError, PriceWarning
+from gridrates.kmeans import MAX_ITERS
 from gridrates.profiles import ingest_csv
-from gridrates.robust import SKC_MAX_DEPTH
 from gridrates.tariff import Tariff
 
 
@@ -162,7 +162,7 @@ def test_cluster_methods_and_artifacts(tmp_path, small_config):
     assert skc_meta["base_wall_time_s"] > 0  # the base clustering, timed apart
     for method in ("profile", "skc"):  # the tariff k-means run's convergence
         meta = json.loads((tmp_path / f"meta_cluster_{method}.json").read_text())
-        assert 1 <= meta["n_iter"] <= 100
+        assert 1 <= meta["n_iter"] <= MAX_ITERS
         assert isinstance(meta["label_fixpoint"], bool)
         assert meta["inertia"] > 0
 
@@ -826,9 +826,9 @@ def test_sidecars_record_dropped_efforts_and_clustering_work(tmp_path, small_con
     for name in ("cluster_profile", "cluster_skc"):
         repairs = meta[name]["empty_cluster_repairs"]
         assert isinstance(repairs, int) and repairs >= 0, name
-    # skc split some of the 8 base clusters, none past the depth guard
+    # skc split some of the 8 base clusters; each split adds one band
     assert meta["cluster_skc"]["n_clusters"] > 8
-    assert 1 <= meta["cluster_skc"]["skc_max_depth"] <= SKC_MAX_DEPTH + 1
+    assert 1 <= meta["cluster_skc"]["skc_max_depth"] < meta["cluster_skc"]["n_clusters"]
     assert "skc_max_depth" not in meta["cluster_profile"]
 
 
@@ -903,6 +903,33 @@ def test_bad_config_json(tmp_path):
     unknown = tmp_path / "unknown.json"
     unknown.write_text('{"no_such_key": 1}')
     assert _run("datagen", "--config", unknown, "--out", tmp_path) == 1
+
+
+@pytest.mark.parametrize("command", [("price",), ("cluster", "--method", "profile")],
+                         ids=["price", "cluster"])
+@pytest.mark.parametrize("doc, message", [
+    pytest.param({"seed": 1.5}, "'seed' must be an integer, not a number", id="seed-float"),
+    pytest.param({"seed": True}, "'seed' must be an integer, not a boolean", id="seed-bool"),
+    pytest.param({"n_users": 100.5}, "'n_users' must be an integer, not a number", id="n-float"),
+    pytest.param({"k": 2.5}, "'k' must be an integer or null, not a number", id="k-float"),
+    pytest.param({"rho": "0.5"}, "'rho' must be a number, not a string", id="rho-string"),
+    pytest.param({"theta_max": None}, "'theta_max' must be a number, not null", id="theta-null"),
+    pytest.param({"corpus_kind": "industrial"},
+                 "'corpus_kind' must be 'residential' or 'commercial', not 'industrial'",
+                 id="kind-unknown"),
+    pytest.param({"metric": "cosine"}, "'metric' must be 'sqeuclidean' or 'l1', not 'cosine'",
+                 id="metric-unknown"),
+    pytest.param(5, "the config is not a JSON object", id="doc-number"),
+    pytest.param(None, "the config is not a JSON object", id="doc-null"),
+])
+def test_config_value_of_a_wrong_type_or_unknown_is_validation_error(
+        tmp_path, capsys, command, doc, message):
+    config = tmp_path / "config.json"
+    if isinstance(doc, dict):   # one wrong value in a good config
+        doc, message = {**_SMALL_CONFIG, **doc}, f"the config's {message}"
+    config.write_text(json.dumps(doc))
+    assert _run(*command, "--config", config, "--out", tmp_path) == 1
+    assert capsys.readouterr().err == f"gridrates: validation error: {message}\n"
 
 
 def test_config_defaults_and_hash_stability():

@@ -279,13 +279,18 @@ def test_skc_meets_band_criterion_across_seeds():
         assert ok, f"seed {seed}: worst gap {worst}"
 
 
-def test_skc_recursion_depth_guard():
-    from gridrates.errors import RecursionDepthExceeded
-    from gridrates.robust import _bisect_ranges
-
-    mcis = np.array([0.0, 10.0])
-    with pytest.raises(RecursionDepthExceeded):
-        _bisect_ranges(mcis, np.array([0, 1]), rho=1.0, depth=65)
+def test_skc_splits_as_deep_as_the_rates_need():
+    # rates 2^-i: each split peels off the highest rate, 79 splits deep
+    from gridrates import PriceCurve
+    share = 2.0 ** -np.arange(80)
+    pop = Population([f"u{i:02d}" for i in range(80)], np.column_stack([1.0 - share, share]))
+    prices = PriceCurve(np.array([0.0, 1.0]))
+    base = kmeans_profiles(pop, k=1, prices=prices, seed=0)
+    out = skc(pop, prices, rho=1e-30, base_clustering=base)
+    assert out.k == 80 and out.split_depth == 79
+    # one band per user, the lower half of each split first
+    assert out.labels.tolist() == list(range(79, -1, -1))
+    assert out.prices.tolist() == share[::-1].tolist()
 
 
 @pytest.mark.parametrize("mcis, depth", [
