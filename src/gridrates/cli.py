@@ -23,32 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import CSV_FLOAT_FMT, RunConfig
-from .errors import (
-    ConfigError,
-    EmptyPopulation,
-    InconsistentHorizon,
-    KTooLarge,
-    MalformedRow,
-    ZeroProfile,
-)
+from .config import CSV_FLOAT_FMT, DEFAULT_K, RunConfig
+from .errors import ConfigError
 from .kmeans import kmeans_profiles, sigma
-from .model import PriceCurve, mci_matrix, price_curve
+from .model import CostModel, PriceCurve, mci_matrix, price_curve
 from .profiles import Population, aggregate, generate_corpus, ingest_csv, write_csv
 from .robust import criterion_check, gkc, mci_table, skc
-from .tariff import Tariff
+from .tariff import ASSIGNMENT_METRICS, Tariff
 from .vulnerability import Audit, ReportFiles, smoothness_bound
-
-VALIDATION_ERRORS = (
-    ConfigError,
-    ValueError,
-    MalformedRow,
-    InconsistentHorizon,
-    KTooLarge,
-    EmptyPopulation,
-    ZeroProfile,
-)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are validation errors (exit 1)
@@ -292,7 +274,7 @@ def cmd_sensitivity(args) -> int:
     nonpositive_a = []   # the grid's curvatures whose price curve has a price <= 0
     with _stage(meta["stages"], "compute"):
         for a in a_grid:
-            curve = price_curve(cfg.with_overrides(a=a).cost_model(), loads)
+            curve = price_curve(CostModel(a, cfg.b, cfg.c), loads)
             if np.any(curve.prices <= 0):
                 nonpositive_a.append(a)
             table = mci_table(pop, curve)
@@ -376,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("datagen", help="write a synthetic corpus CSV")
     common(p)
-    p.add_argument("--kind", dest="corpus_kind", choices=["residential", "commercial"])
+    p.add_argument("--kind", dest="corpus_kind", choices=tuple(DEFAULT_K))
     p.add_argument("--n", dest="n_users", type=int, metavar="N", help="number of users")
     p.set_defaults(func=cmd_datagen)
 
@@ -391,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=["profile", "skc", "gkc"])
     p.add_argument("--k", type=int, help="baseline profile cluster count")
     p.add_argument("--rho", type=float, help="rate-band tolerance")
-    p.add_argument("--metric", choices=["sqeuclidean", "l1"])
+    p.add_argument("--metric", choices=ASSIGNMENT_METRICS)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("vulnerability", help="theta sweep of strategic users")
@@ -431,11 +413,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except VALIDATION_ERRORS as exc:
+    except ValueError as exc:   # bad input; see gridrates.errors
         print(f"gridrates: validation error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit:
-        raise
     except Exception as exc:  # runtime failures map to exit 2 by contract
         print(f"gridrates: runtime error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -25,6 +25,22 @@ DEFAULT_RHO = 0.5
 DEFAULT_K = {"residential": 30, "commercial": 24}
 # the most points a theta grid may have (a step of 1e-5 over [0, 1))
 MAX_THETA_POINTS = 100_001
+# what corpus_overrides may set, by default: the CorpusSpec fields that are no config key
+CORPUS_FIELDS = {f.name: f.default for f in fields(CorpusSpec) if f.default is not MISSING}
+
+
+def _check_overrides(overrides: dict) -> None:
+    """Raise ValueError unless each override is a CorpusSpec field of its default's JSON type."""
+    unknown = set(overrides) - set(CORPUS_FIELDS)
+    if unknown:
+        raise ValueError(f"unknown corpus_overrides keys: {sorted(unknown)}")
+    types = {float: (int, float), int: (int,), tuple: (list,)}
+    _require(overrides, {key: types[type(CORPUS_FIELDS[key])]   # CorpusSpec checks id_prefix
+                         for key in overrides if key != "id_prefix"}, "corpus_overrides")
+    for key, value in overrides.items():
+        width = 2 if key == "total_range" else len(value) if type(value) is list else 0
+        if width and (len(value) != width or not set(map(type, value)) <= {int, float}):
+            raise ValueError(f"corpus_overrides's {key!r} must be a list of {width} numbers")
 
 
 @dataclass(frozen=True)
@@ -45,17 +61,12 @@ class RunConfig:
     corpus_overrides: dict = field(default_factory=dict)
 
     def cost_model(self) -> CostModel:
-        try:
-            return CostModel(self.a, self.b, self.c)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return CostModel(self.a, self.b, self.c)
 
     def corpus_spec(self) -> CorpusSpec:
+        _check_overrides(self.corpus_overrides)
         maker = residential_spec if self.corpus_kind == "residential" else commercial_spec
-        try:
-            return maker(self.n_users, self.seed, **self.corpus_overrides)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
+        return maker(self.n_users, self.seed, **self.corpus_overrides)
 
     def baseline_k(self) -> int:
         return self.k if self.k is not None else DEFAULT_K[self.corpus_kind]
@@ -74,10 +85,11 @@ class RunConfig:
             _require(doc, {**types, "k": (int, type(None))}, "the config")
             _require_known(doc, {"corpus_kind": tuple(DEFAULT_K),
                                  "metric": ASSIGNMENT_METRICS}, "the config")
-        except ValueError as exc:
+            self.cost_model()
+            self.corpus_spec()
+            self.canonical_json()   # an integer given for a float must fit one
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from None
-        self.cost_model()
-        self.corpus_spec()
         if not 0 < self.rho < math.inf:
             raise ConfigError(f"rho must be finite and > 0, got {self.rho}")
         if not 0 <= self.theta_max < 1:
@@ -98,7 +110,12 @@ class RunConfig:
         return self
 
     def canonical_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        # each float, a corpus override's too, written as one (1 as 1.0): equal configs hash alike
+        doc = asdict(self)
+        for values, defaults in ((doc, vars(RunConfig())), (doc["corpus_overrides"], CORPUS_FIELDS)):
+            values.update({key: np.asarray(values[key], float).tolist() for key in values
+                           if type(defaults.get(key)) in (float, tuple)})
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     def hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]

@@ -1,19 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. A `ValueError` is bad input
+(exit 1 from the CLI), and every bad-input class here is one; any other
+exception is a runtime failure (exit 2)."""
 
 
 class GridRatesError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ZeroProfile(GridRatesError):
+class ZeroProfile(GridRatesError, ValueError):
     """A load profile with zero total consumption has no defined rate."""
 
 
-class EmptyPopulation(GridRatesError):
+class EmptyPopulation(GridRatesError, ValueError):
     """An operation requiring at least one profile received none."""
 
 
-class MalformedRow(GridRatesError):
+class MalformedRow(GridRatesError, ValueError):
     """A CSV row is structurally unusable (bad or duplicate user id)."""
 
     def __init__(self, row_number, message):
@@ -21,11 +23,11 @@ class MalformedRow(GridRatesError):
         super().__init__(f"row {row_number}: {message}")
 
 
-class InconsistentHorizon(GridRatesError):
+class InconsistentHorizon(GridRatesError, ValueError):
     """Profiles in one source disagree on the number of time slots."""
 
 
-class KTooLarge(GridRatesError):
+class KTooLarge(GridRatesError, ValueError):
     """Requested more clusters than there are users."""
 
 
@@ -41,7 +43,7 @@ class InstanceTooLarge(GridRatesError):
     """Instance exceeds the configured cap for the exact partition search."""
 
 
-class ConfigError(GridRatesError):
+class ConfigError(GridRatesError, ValueError):
     """A run configuration failed validation."""
 
 

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridrates import (Population, __version__, acceptance, aggregate, cli, kmeans_profiles,
-                       price_curve, vulnerability)
+from gridrates import (Population, __version__, acceptance, aggregate, cli, errors,
+                       kmeans_profiles, price_curve, vulnerability)
 from gridrates.config import MAX_THETA_POINTS, RunConfig
 from gridrates.errors import ConfigError, PriceWarning
 from gridrates.kmeans import MAX_ITERS
@@ -333,6 +333,8 @@ def _list_twice(doc, by):   # cluster `by` also lists cluster 0's first member
     pytest.param("profile", lambda doc: doc.update(metric="bogus"),
                  "the tariff's 'metric' must be 'sqeuclidean' or 'l1', not 'bogus'",
                  id="metric"),
+    pytest.param("profile", lambda doc: doc["clusters"][1].update(center=[0.0] * 24),
+                 "profile has zero total consumption; rate undefined", id="zero-center"),
 ])
 def test_untrustworthy_tariff_file_is_refused_at_load(
         tmp_path, tariff_files, capsys, command, method, edit, message):
@@ -433,12 +435,17 @@ def test_tariff_file_with_a_wrongly_typed_value_is_refused_at_load(
         f"gridrates: validation error: {clustering}: {message}\n")
 
 
-def test_package_runs_as_a_module_without_an_install():
+def _run_module(*argv):
+    """`python -m gridrates` in a new process, with the package's source on its path."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "gridrates", "--help"], env=env,
+    return subprocess.run([sys.executable, "-m", "gridrates", *map(str, argv)], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_package_runs_as_a_module_without_an_install():
+    done = _run_module("--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: gridrates ")
     assert "vulnerability" in done.stdout
@@ -454,7 +461,31 @@ _BAD_PREFIX = ("id_prefix must be a string with no NUL and no leading whitespace
     ({"corpus_overrides": {"id_prefix": "u\0"}}, _BAD_PREFIX + "'u\\x00'"),
     ({"corpus_overrides": {"id_prefix": " u"}}, _BAD_PREFIX + "' u'"),
     ({"corpus_overrides": {"id_prefix": 5}}, _BAD_PREFIX + "5"),
-], ids=["k", "seed", "nul-prefix", "space-prefix", "int-prefix"])
+    ({"corpus_overrides": {"horizon": 2.5}},
+     "corpus_overrides's 'horizon' must be an integer, not a number"),
+    ({"corpus_overrides": {"horizon": True}},
+     "corpus_overrides's 'horizon' must be an integer, not a boolean"),
+    ({"corpus_overrides": {"base_level": "0.1"}},
+     "corpus_overrides's 'base_level' must be a number, not a string"),
+    ({"corpus_overrides": {"peak_widths": 2.0}},
+     "corpus_overrides's 'peak_widths' must be a list, not a number"),
+    ({"corpus_overrides": {"total_range": [1000, 2000, 3]}},
+     "corpus_overrides's 'total_range' must be a list of 2 numbers"),
+    ({"corpus_overrides": {"total_range": []}},
+     "corpus_overrides's 'total_range' must be a list of 2 numbers"),
+    ({"corpus_overrides": {"peak_locations": ["a", 1, 2, 3]}},
+     "corpus_overrides's 'peak_locations' must be a list of 4 numbers"),
+    ({"corpus_overrides": {"mixture_concentration": [1, 1, 1, False]}},
+     "corpus_overrides's 'mixture_concentration' must be a list of 4 numbers"),
+    ({"corpus_overrides": {"kind": "commercial"}}, "unknown corpus_overrides keys: ['kind']"),
+    ({"corpus_overrides": {"n_users": 5}}, "unknown corpus_overrides keys: ['n_users']"),
+    ({"corpus_overrides": {"seed": 1, "peaks": [1.0]}},
+     "unknown corpus_overrides keys: ['peaks', 'seed']"),
+    ({"rho": 10**400}, "int too large to convert to float"),
+], ids=["k", "seed", "nul-prefix", "space-prefix", "int-prefix", "horizon-float",
+        "horizon-bool", "level-string", "widths-number", "range-three", "range-empty",
+        "peak-string", "mix-bool", "override-kind", "override-n-users", "override-unknown",
+        "rho-huge-int"])
 def test_bad_config_is_refused_before_out_is_made(tmp_path, capsys, config, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"n_users": 50, **config}))
@@ -946,3 +977,49 @@ def test_config_defaults_and_hash_stability():
         RunConfig(theta_max=1.0).validate()
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"a": 0.0})  # cost curvature must be positive
+
+
+@pytest.mark.parametrize("doc, same", [
+    ({"rho": 1}, {"rho": 1.0}),
+    ({"a": 1, "b": -37, "c": 0, "theta_max": 0, "theta_step": 1},
+     {"a": 1.0, "b": -37.0, "c": 0.0, "theta_max": 0.0, "theta_step": 1.0}),
+    ({"corpus_overrides": {"base_level": 0, "total_range": [800, 1800]}},
+     {"corpus_overrides": {"base_level": 0.0, "total_range": [800.0, 1800.0]}}),
+], ids=["rho", "every-float-key", "overrides"])
+def test_a_float_written_as_an_integer_hashes_alike(doc, same):
+    assert RunConfig.from_dict(doc).hash() == RunConfig.from_dict(same).hash()
+
+
+_BAD_INPUT = {errors.ZeroProfile, errors.EmptyPopulation, errors.MalformedRow,
+              errors.InconsistentHorizon, errors.KTooLarge, errors.ConfigError}
+_ERROR_CLASSES = [value for value in vars(errors).values()
+                  if isinstance(value, type) and issubclass(value, Exception)
+                  and value is not errors.PriceWarning]
+
+
+@pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_exception_type(tmp_path, capsys, monkeypatch, cls):
+    exc = cls(7, "bad row") if cls is errors.MalformedRow else cls("bad thing")
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_price", fail)
+    code = _run("price", "--out", tmp_path)
+    err = capsys.readouterr().err
+    assert issubclass(cls, ValueError) == (cls in _BAD_INPUT)
+    if cls in _BAD_INPUT:
+        assert (code, err) == (1, f"gridrates: validation error: {exc}\n")
+    else:
+        assert (code, err) == (2, f"gridrates: runtime error: {cls.__name__}: {exc}\n")
+
+
+def test_bad_input_exits_1_from_the_process(tmp_path):
+    # KTooLarge raised by kmeans_profiles: more clusters than users
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**_SMALL_CONFIG, "n_users": 20, "k": 21,
+                                  "corpus_overrides": {"total_range": [390000.0, 900000.0]}}))
+    done = _run_module("cluster", "--method", "profile", "--config", config,
+                       "--out", tmp_path / "out")
+    assert (done.returncode, done.stderr) == (
+        1, "gridrates: validation error: k=21 outside [1, 20]\n")
