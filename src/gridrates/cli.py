@@ -25,11 +25,11 @@ import numpy as np
 from . import __version__
 from .config import CSV_FLOAT_FMT, DEFAULT_K, RunConfig
 from .errors import ConfigError
-from .kmeans import kmeans_profiles, sigma
+from .kmeans import _member_sums, kmeans_profiles, sigma
 from .model import CostModel, PriceCurve, mci_matrix, price_curve
 from .profiles import Population, aggregate, generate_corpus, ingest_csv, write_csv
 from .robust import criterion_check, gkc, mci_table, skc
-from .tariff import ASSIGNMENT_METRICS, Tariff
+from .tariff import ASSIGNMENT_METRICS, Tariff, check_rebuilt
 from .vulnerability import Audit, ReportFiles, smoothness_bound
 
 class _Parser(argparse.ArgumentParser):
@@ -113,14 +113,32 @@ def _load_inputs(args, cfg: RunConfig, meta: dict):
 
 def _load_clustering(path, cfg: RunConfig, pop: Population, curve: PriceCurve) -> Tariff:
     """A tariff JSON, checked against the corpus and the config's price curve
-    it is applied to."""
+    it is applied to: a rate tariff's members must meet its rho, and a
+    profile tariff's centers must be its members' mean profiles."""
     rates = dict(zip(pop.user_ids, mci_matrix(curve, pop.consumption).tolist()))
     try:
         tariff = Tariff.from_json(Path(path).read_text(encoding="utf-8"), rates)
         tariff.check_config(curve, cfg.rho)
+        if tariff.centers is None:
+            ok, worst = criterion_check(tariff)
+            if not ok:
+                raise ValueError(f"a member's rate lies {worst!r} from its band's price, "
+                                 f"more than the tariff's rho={tariff.rho!r}")
+        else:
+            _check_centers(tariff, pop)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return tariff
+
+
+def _check_centers(tariff: Tariff, pop: Population) -> None:
+    """Raise ValueError unless each profile center is its members' mean
+    normalized profile, summed as k-means sums it, bit for bit."""
+    columns = np.ascontiguousarray(pop.normalized()[pop.rows_of(tariff.user_ids.tolist())].T)
+    sums, counts = _member_sums(columns, tariff.labels, tariff.k)
+    check_rebuilt(tariff.centers, sums / counts[:, None],
+                  "{n} of {k} cluster centers are not their members' mean profiles "
+                  "(first: cluster {j})")
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +308,9 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_diversity(args) -> int:
     drill = _parse_list(args.drill, int, "--drill") if args.drill else []
+    repeated = [j for j, n in Counter(drill).items() if n > 1]
+    if repeated:
+        raise ConfigError(f"--drill index {repeated[0]} is given more than once")
     if args.drill_k < 1:
         raise ConfigError(f"--drill-k must be >= 1, got {args.drill_k}")
     cfg, out, meta = _setup(args)

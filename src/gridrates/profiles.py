@@ -377,12 +377,19 @@ class CorpusSpec:
             raise ValueError(f"unknown corpus kind {self.kind!r}")
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon!r}")
         if self.noise_scale < 0:
             raise ValueError("noise scale must be >= 0")
         if len(self.peak_locations) != len(self.peak_widths):
             raise ValueError("one width per peak location required")
         if len(self.mixture_concentration) != len(self.peak_locations):
             raise ValueError("one concentration per archetype required")
+        if not self.peak_locations:
+            raise ValueError("peak_locations must hold at least one archetype")
+        for key in ("peak_widths", "mixture_concentration"):
+            if not all(v > 0 for v in getattr(self, key)):
+                raise ValueError(f"every value of {key} must be > 0, got {getattr(self, key)!r}")
         if not (0 < self.total_range[0] <= self.total_range[1]):
             raise ValueError("total_range must satisfy 0 < lo <= hi")
         # ingest_csv refuses a NUL in an id and strips the whitespace around it

@@ -3,8 +3,10 @@
 Both tariff schemes publish this. A profile tariff (k-means on load
 shapes) also keeps its center profiles and the k-means run's convergence
 facts; a rate-band tariff (`gkc`, `skc`) keeps each user's rate and the
-band tolerance rho. This module owns both JSON layouts: `"kind": "profile"`
-clusters carry a center, `"kind": "rate"` clusters a rate range.
+band tolerance rho. This module owns both JSON layouts, in one table that
+`to_json` and `from_json` read: `"kind": "profile"` clusters carry a center,
+`"kind": "rate"` clusters a rate range. `check_rebuilt` compares each stored
+array with the one the corpus and config rebuild.
 """
 
 from __future__ import annotations
@@ -26,6 +28,14 @@ def center_prices(curve: PriceCurve, centers: np.ndarray) -> np.ndarray:
     return np.array([mci(curve, c) for c in centers])
 
 
+# each kind's JSON layout: its top-level keys besides "kind", "k" and
+# "clusters", with their JSON types; the values those keys may take; and
+# the key of each cluster's shape
+_LAYOUTS = {
+    "profile": ({"metric": (str,)}, {"metric": ASSIGNMENT_METRICS}, "center"),
+    "rate": ({"method": (str,), "rho": (int, float)}, {"method": ("gkc", "skc")}, "rate_range"),
+}
+
 # what json.loads makes of each JSON type, by name; a bool is no number
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "a number",
                float: "a number", bool: "a boolean", type(None): "null"}
@@ -44,6 +54,18 @@ def _require(doc, keys: dict, name: str) -> None:
             allowed = " or ".join(dict.fromkeys(names[t] for t in types))
             raise ValueError(f"{name}'s {key!r} must be {allowed}, not "
                              f"{_JSON_TYPES[type(doc[key])]}")
+
+
+def check_rebuilt(stored: np.ndarray, rebuilt: np.ndarray, message: str) -> None:
+    """Raise ValueError unless a stored array equals, value for value, the
+    one its corpus and config rebuild. `message` is formatted with the count `n` of
+    rows that differ, the row count `k`, and the first such row `j` with its
+    `stored` and `rebuilt` values."""
+    bad = np.flatnonzero((stored != rebuilt).reshape(len(stored), -1).any(axis=1))
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(message.format(n=bad.size, k=len(stored), j=j,
+                                        stored=stored[j].tolist(), rebuilt=rebuilt[j].tolist()))
 
 
 def _require_known(doc: dict, known: dict, name: str) -> None:
@@ -110,46 +132,35 @@ class Tariff:
     def check_config(self, curve: PriceCurve, rho: float) -> None:
         """Raise ValueError unless the tariff was made with this price curve and rho.
 
-        Every cluster must have a finite price. A rate tariff must carry
-        `rho` (its band ranges are checked against the rates by `from_json`);
-        a profile tariff's prices must be the MCI of its centers under
-        `curve`, bit for bit.
+        Every cluster must have a finite price, bit for bit the one its
+        kind rebuilds: the MCI of a profile tariff's center under `curve`,
+        the midpoint of a rate band's range (checked against the rates by
+        `from_json`). A rate tariff must carry `rho`.
         """
         if self.prices is None or not np.isfinite(self.prices).all():
             raise ValueError("the tariff needs a finite price for every cluster")
-        if self.centers is None:
-            if self.rho != rho:
-                raise ValueError(f"tariff has rho={self.rho!r}, the config rho={rho!r}")
+        if self.centers is not None:
+            check_rebuilt(self.prices, center_prices(curve, self.centers),
+                          "{n} of {k} cluster prices are not the MCI of their centers under "
+                          "this config (first: cluster {j}, price {stored!r}, MCI {rebuilt!r}); "
+                          "was the tariff made from another corpus or cost model?")
             return
-        expected = center_prices(curve, self.centers)
-        bad = np.flatnonzero(self.prices != expected)
-        if bad.size:
-            j = int(bad[0])
-            raise ValueError(
-                f"{bad.size} of {self.k} cluster prices are not the MCI of their "
-                f"centers under this config (first: cluster {j}, price "
-                f"{float(self.prices[j])!r}, MCI {float(expected[j])!r}); was the "
-                f"tariff made from another corpus or cost model?")
+        if self.rho != rho:
+            raise ValueError(f"tariff has rho={self.rho!r}, the config rho={rho!r}")
+        ranges = self.rate_ranges()
+        check_rebuilt(self.prices, (ranges[:, 0] + ranges[:, 1]) / 2.0,
+                      "{n} of {k} band prices are not the midpoints of their rate ranges "
+                      "(first: band {j}, price {stored!r}, midpoint {rebuilt!r})")
 
     def to_json(self) -> str:
-        profile = self.centers is not None
-        ranges = None if profile else self.rate_ranges()
-        clusters = []
-        for j in range(self.k):
-            cluster = {
-                "price": None if self.prices is None else float(self.prices[j]),
-                "members": self.member_ids(j),
-            }
-            if profile:
-                cluster["center"] = [float(v) for v in self.centers[j]]
-            else:
-                cluster["rate_range"] = [float(v) for v in ranges[j]]
-            clusters.append(cluster)
-        if profile:
-            doc = {"kind": "profile", "k": self.k, "metric": self.metric}
-        else:
-            doc = {"kind": "rate", "method": self.method, "rho": self.rho, "k": self.k}
-        return json.dumps({**doc, "clusters": clusters}, sort_keys=True)
+        kind = "rate" if self.centers is None else "profile"
+        keys, _, shape = _LAYOUTS[kind]
+        values = self.rate_ranges() if self.centers is None else self.centers
+        clusters = [{"price": None if self.prices is None else float(self.prices[j]),
+                     "members": self.member_ids(j), shape: values[j].tolist()}
+                    for j in range(self.k)]
+        return json.dumps({"kind": kind, "k": self.k, "clusters": clusters,
+                           **{key: getattr(self, key) for key in keys}}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str, rates: dict | None = None) -> "Tariff":
@@ -166,15 +177,14 @@ class Tariff:
         doc = json.loads(text)
         _require(doc, {}, "the tariff")
         kind = doc.get("kind")
-        if kind not in ("profile", "rate"):
+        if kind not in _LAYOUTS:
             raise ValueError(f"unknown clustering kind {kind!r}")
         profile = kind == "profile"
-        _require(doc, {"clusters": (list,), "metric": (str,)} if profile else
-                 {"clusters": (list,), "method": (str,), "rho": (int, float)}, "the tariff")
+        keys, known, shape = _LAYOUTS[kind]
+        _require(doc, {"clusters": (list,), **keys}, "the tariff")
         clusters = doc["clusters"]
         if not clusters:
             raise ValueError("the tariff's 'clusters' is empty")
-        shape = "center" if profile else "rate_range"
         for j, cluster in enumerate(clusters):
             _require(cluster, {"members": (list,), "price": (int, float, type(None)),
                                shape: (list,)}, f"cluster {j}")
@@ -184,9 +194,7 @@ class Tariff:
             if len(cluster[shape]) != width or not set(map(type, cluster[shape])) <= {int, float}:
                 raise ValueError(f"cluster {j}'s {shape!r} must be a list of {width} numbers")
         _require(doc, {"k": (int, float)}, "the tariff")
-        known = {"k": (len(clusters),), **({"metric": ASSIGNMENT_METRICS} if profile else
-                                           {"method": ("gkc", "skc")})}
-        _require_known(doc, known, "the tariff")
+        _require_known(doc, {"k": (len(clusters),), **known}, "the tariff")
         user_ids = [uid for cluster in clusters for uid in cluster["members"]]
         labels = np.repeat(np.arange(len(clusters)),
                            [len(cluster["members"]) for cluster in clusters])
@@ -195,6 +203,7 @@ class Tariff:
             listed = sorted({int(j) for u, j in zip(user_ids, labels) if u == uid})
             raise ValueError(f"user id {uid!r} is listed {n} times, by clusters {listed}")
         prices = [cluster["price"] for cluster in clusters]
+        values = np.array([cluster[shape] for cluster in clusters], dtype=float)
         if rates is not None:
             member_rates = [rates.get(uid) for uid in user_ids]
             if None in member_rates:
@@ -203,32 +212,16 @@ class Tariff:
                     f"{len(missing)} clustering user ids are not in the corpus "
                     f"(first: {missing[0]!r}); was it clustered from another corpus?")
         if profile:
-            return cls(
-                user_ids=user_ids,
-                labels=labels,
-                prices=None if None in prices else np.array(prices, dtype=float),
-                method="profile",
-                centers=np.array([cluster["center"] for cluster in clusters], dtype=float),
-                metric=doc["metric"],
-            )
+            return cls(user_ids=user_ids, labels=labels,
+                       prices=None if None in prices else np.array(prices, dtype=float),
+                       method="profile", centers=values, metric=doc["metric"])
         if rates is None:
             raise ValueError("a rate tariff needs its members' rates to load")
-        tariff = cls(
-            user_ids=user_ids,
-            labels=labels,
-            prices=np.array(prices, dtype=float),
-            method=doc["method"],
-            rates=np.array(member_rates, dtype=float),
-            rho=float(doc["rho"]),
-        )
-        stored = np.array([cluster["rate_range"] for cluster in clusters], dtype=float)
-        ranges = tariff.rate_ranges()
-        bad = np.flatnonzero(np.any(stored != ranges, axis=1))
-        if bad.size:
-            j = int(bad[0])
-            raise ValueError(
-                f"{bad.size} of {tariff.k} bands have a rate_range other than their "
-                f"members' rates (first: band {j}, stored {stored[j].tolist()}, rates "
-                f"span {ranges[j].tolist()}); was the tariff made from another corpus "
-                f"or cost model?")
+        tariff = cls(user_ids=user_ids, labels=labels, prices=np.array(prices, dtype=float),
+                     method=doc["method"], rates=np.array(member_rates, dtype=float),
+                     rho=float(doc["rho"]))
+        check_rebuilt(values, tariff.rate_ranges(),
+                      "{n} of {k} bands have a rate_range other than their members' rates "
+                      "(first: band {j}, stored {stored}, rates span {rebuilt}); was the "
+                      "tariff made from another corpus or cost model?")
         return tariff

@@ -350,6 +350,52 @@ def test_untrustworthy_tariff_file_is_refused_at_load(
     assert list(out.glob("*")) == []
 
 
+def _raise_price(doc):   # band 0's price moves off its range's midpoint
+    doc["clusters"][0]["price"] += 10.0
+
+
+def _scale_center(doc):   # a doubled center keeps its MCI, not its members' mean
+    doc["clusters"][0]["center"] = [2.0 * v for v in doc["clusters"][0]["center"]]
+
+
+@pytest.mark.parametrize("command", ["vulnerability", "diversity"])
+@pytest.mark.parametrize("method, flags, edit", [
+    pytest.param("gkc", (), _raise_price, id="gkc-price"),
+    pytest.param("skc", (), _raise_price, id="skc-price"),
+    pytest.param("gkc", ("--rho", "1.0"), lambda doc: doc.update(rho=0.5), id="rho-edit"),
+    pytest.param("profile", (), _scale_center, id="center-scaled"),
+])
+def test_tampered_tariff_numbers_are_refused_at_load(
+        tmp_path, tariff_files, capsys, command, method, flags, edit):
+    config, corpus = tariff_files / "config.json", tariff_files / "corpus.csv"
+    assert _run("cluster", "--config", config, "--out", tmp_path, "--corpus", corpus,
+                "--method", method, *flags) == 0
+    doc = json.loads((tmp_path / f"clustering_{method}.json").read_text())
+    edit(doc)
+    first = doc["clusters"][0]
+    if method == "profile":
+        message = (f"1 of {doc['k']} cluster centers are not their members' mean "
+                   f"profiles (first: cluster 0)")
+    elif flags:   # each band's farthest member sits at an end of its rate range
+        worst = max(abs(v - c["price"]) for c in doc["clusters"] for v in c["rate_range"])
+        assert worst > 0.5
+        message = (f"a member's rate lies {worst!r} from its band's price, "
+                   f"more than the tariff's rho=0.5")
+    else:
+        midpoint = (first["rate_range"][0] + first["rate_range"][1]) / 2.0
+        message = (f"1 of {doc['k']} band prices are not the midpoints of their rate "
+                   f"ranges (first: band 0, price {first['price']!r}, midpoint {midpoint!r})")
+    clustering = tmp_path / "edited.json"
+    clustering.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert _run(command, "--config", config, "--out", out, "--corpus", corpus,
+                "--clustering", clustering) == 1
+    assert capsys.readouterr().err == (
+        f"gridrates: validation error: {clustering}: {message}\n")
+    assert list(out.glob("*")) == []
+
+
 @pytest.mark.parametrize("command", ["vulnerability", "diversity"])
 @pytest.mark.parametrize("method, cluster, key", [
     ("gkc", None, "clusters"), ("gkc", None, "rho"), ("gkc", None, "method"),
@@ -492,6 +538,29 @@ def test_bad_config_is_refused_before_out_is_made(tmp_path, capsys, config, mess
     out = tmp_path / "out"
     assert _run("datagen", "--config", path, "--out", out) == 1
     assert f"validation error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"horizon": 0}, "horizon must be >= 1, got 0"),
+    ({"horizon": -2}, "horizon must be >= 1, got -2"),
+    ({"peak_locations": [], "peak_widths": [], "mixture_concentration": []},
+     "peak_locations must hold at least one archetype"),
+    ({"mixture_concentration": [-1, 0.5, 0.9, 0.3]},
+     "every value of mixture_concentration must be > 0, got [-1, 0.5, 0.9, 0.3]"),
+    ({"peak_widths": [0, 2.2, 2.2, 2.5]},
+     "every value of peak_widths must be > 0, got [0, 2.2, 2.2, 2.5]"),
+    ({"peak_widths": [1.8, -1, 2.2, 2.5]},
+     "every value of peak_widths must be > 0, got [1.8, -1, 2.2, 2.5]"),
+], ids=["horizon-zero", "horizon-negative", "no-archetype", "concentration-negative",
+        "width-zero", "width-negative"])
+def test_corpus_override_out_of_range_is_refused_before_out_is_made(
+        tmp_path, capsys, overrides, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n_users": 30, "corpus_overrides": overrides}))
+    out = tmp_path / "out"
+    assert _run("datagen", "--config", path, "--out", out) == 1
+    assert capsys.readouterr().err == f"gridrates: validation error: {message}\n"
     assert not out.exists()
 
 
@@ -664,6 +733,7 @@ def test_diversity_sigma_and_drill(tmp_path, small_config):
     (("--drill", "0,1.5"), "bad --drill '0,1.5'"),
     (("--drill-k", "0"), "--drill-k must be >= 1, got 0"),
     (("--drill-k", "-2"), "--drill-k must be >= 1, got -2"),
+    (("--drill", "0,3,0"), "--drill index 0 is given more than once"),
 ])
 def test_diversity_flag_errors_name_the_flag(tmp_path, capsys, flags, message):
     out = tmp_path / "out"

@@ -27,11 +27,11 @@ def _pipeline(n=300, seed=4):
     return pop, prices, rates
 
 
-def _tariff(method, pop, prices):
+def _tariff(method, pop, prices, rho=0.5):
     if method == "gkc":
-        return gkc(mci_table(pop, prices), rho=0.5)
+        return gkc(mci_table(pop, prices), rho=rho)
     base = kmeans_profiles(pop, k=8, prices=prices, seed=2)
-    return base if method == "profile" else skc(pop, prices, 0.5, base)
+    return base if method == "profile" else skc(pop, prices, rho, base)
 
 
 @pytest.mark.parametrize("method", ["profile", "gkc", "skc"])
@@ -60,3 +60,15 @@ def test_rate_tariff_needs_rates_and_matching_ranges():
     shifted = {uid: rate + 1e-9 for uid, rate in rates.items()}
     with pytest.raises(ValueError, match="rate_range other than their members' rates"):
         Tariff.from_json(text, shifted)
+
+
+@pytest.mark.parametrize("method", ["gkc", "skc"])
+@pytest.mark.parametrize("rho", [0.05, 0.5, 3.0])
+def test_band_prices_are_their_range_midpoints_and_an_edit_is_refused(method, rho):
+    pop, prices, rates = _pipeline(n=400, seed=9)
+    back = Tariff.from_json(_tariff(method, pop, prices, rho).to_json(), rates)
+    back.check_config(prices, rho)   # every band tariff the program writes loads
+    back.prices[1] = np.nextafter(back.prices[1], np.inf)
+    with pytest.raises(ValueError, match=r"^1 of \d+ band prices are not the midpoints of "
+                                         r"their rate ranges \(first: band 1, price "):
+        back.check_config(prices, rho)
