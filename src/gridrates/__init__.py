@@ -46,6 +46,7 @@ from .robust import (
     criterion_check,
     gkc,
     mci_table,
+    minimal_certified,
     minimal_clusters_oracle,
     skc,
 )

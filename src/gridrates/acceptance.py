@@ -105,25 +105,40 @@ def check_billing_identity() -> CheckResult:
 # 2. greedy covering optimality
 # --------------------------------------------------------------------------
 
-def check_greedy_optimality(n_instances: int = 500) -> CheckResult:
-    def run():
+def check_greedy_optimality(n_instances: int = 500, n_edge: int = 500) -> CheckResult:
+    def uniform_instances():
         rng = np.random.default_rng(202)
-        mismatches = 0
         for _ in range(n_instances):
             n = int(rng.integers(1, 501))
             values = np.sort(rng.uniform(0.0, 50.0, size=n))
-            rho = float(rng.uniform(0.05, 8.0))
-            ids = np.array([f"u{i:04d}" for i in range(n)])
-            table = MciTable(user_ids=ids, mcis=values)
-            if gkc(table, rho).k != minimal_clusters_oracle(table, rho):
-                mismatches += 1
-        return mismatches
+            yield values, float(rng.uniform(0.05, 8.0))
 
-    mismatches, elapsed = _timed(run)
-    passed = mismatches == 0 and elapsed < 30.0
+    def edge_instances():
+        # 2 to 4 rates, each on the band edge r + 2*rho of the one before or
+        # one ulp either side; the first rate runs up to 1e5
+        rng = np.random.default_rng(203)
+        for _ in range(n_edge):
+            rho = float(rng.uniform(0.05, 8.0))
+            values = [10.0 ** rng.uniform(0.0, 5.0)]
+            for step in rng.integers(-1, 2, size=int(rng.integers(1, 4))):
+                edge = values[-1] + 2 * rho
+                values.append(np.nextafter(edge, step * np.inf) if step else edge)
+            yield np.array(values), rho
+
+    def mismatches(instances):
+        tables = ((MciTable(np.array([f"u{i:04d}" for i in range(values.size)]), values), rho)
+                  for values, rho in instances)
+        return sum(gkc(table, rho).k != minimal_clusters_oracle(table, rho)
+                   for table, rho in tables)
+
+    (uniform, edge), elapsed = _timed(
+        lambda: (mismatches(uniform_instances()), mismatches(edge_instances())))
+    passed = uniform + edge == 0 and elapsed < 30.0
     return CheckResult(
-        2, f"greedy cluster count optimal on {n_instances} random instances",
-        passed, f"{mismatches} mismatches vs exact partition search, {elapsed:.1f}s", elapsed,
+        2, f"greedy cluster count optimal on {n_instances} random and {n_edge} "
+           f"band-edge instances",
+        passed, f"{uniform} random and {edge} band-edge mismatches vs exact partition "
+                f"search, {elapsed:.1f}s", elapsed,
     )
 
 

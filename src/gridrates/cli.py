@@ -28,7 +28,7 @@ from .errors import ConfigError
 from .kmeans import _member_sums, kmeans_profiles, sigma
 from .model import CostModel, PriceCurve, mci_matrix, price_curve
 from .profiles import Population, aggregate, generate_corpus, ingest_csv, write_csv
-from .robust import criterion_check, gkc, mci_table, skc
+from .robust import criterion_check, gkc, mci_table, minimal_certified, skc
 from .tariff import ASSIGNMENT_METRICS, Tariff, check_rebuilt
 from .vulnerability import Audit, ReportFiles, smoothness_bound
 
@@ -193,6 +193,7 @@ def cmd_cluster(args) -> int:
         if args.method == "gkc":
             with _stage(meta, "wall_time_s"):
                 tariff = gkc(mci_table(pop, prices), cfg.rho)
+            meta["minimal_certified"] = minimal_certified(tariff)
         else:
             # skc refines the k-means tariff; its base is timed apart
             key = "wall_time_s" if args.method == "profile" else "base_wall_time_s"

@@ -17,6 +17,7 @@ from .errors import ConfigError
 from .model import CostModel
 from .profiles import CSV_FLOAT_FMT  # noqa: F401  (re-exported for result tables)
 from .profiles import CorpusSpec, commercial_spec, residential_spec
+from .robust import _check_rho
 from .tariff import ASSIGNMENT_METRICS, _require, _require_known
 
 DEFAULT_A = 0.00012
@@ -88,10 +89,9 @@ class RunConfig:
             self.cost_model()
             self.corpus_spec()
             self.canonical_json()   # an integer given for a float must fit one
+            _check_rho(self.rho)
         except (ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from None
-        if not 0 < self.rho < math.inf:
-            raise ConfigError(f"rho must be finite and > 0, got {self.rho}")
         if not 0 <= self.theta_max < 1:
             raise ConfigError(f"theta_max must be in [0, 1), got {self.theta_max}")
         if not 0 < self.theta_step < math.inf:

@@ -1,11 +1,14 @@
 """Rate-band clustering: every user's rate lands within rho of its cluster price.
 
-Two constructions are provided. The bisecting refinement splits each
-profile-based cluster on the rate axis until every piece spans at most
-2*rho. The greedy covering sorts users by rate and cuts maximal 2*rho
-windows left to right; it provably uses the fewest clusters of any
-partition meeting the band criterion. Cluster prices are midpoints of the
-covered rate range, which makes the band criterion hold by construction.
+One band rule, `_fits`, decides in floating point whether rates lo <= hi
+may share a band: hi <= lo + 2*rho, the sum rounded as floats round it
+(`_top`). Every band test reads it. The bisecting refinement splits each
+profile-based cluster on the rate axis until every piece fits. The greedy
+covering sorts users by rate and cuts maximal bands left to right; since
+the rule is monotone in both rates, it provably uses the fewest clusters
+of any partition meeting it, and `minimal_certified` checks that proof on
+a tariff's band starts. Cluster prices are midpoints of the covered rate
+range, which makes the band criterion hold up to rounding.
 
 An exact dynamic program over contiguous partitions is included as an
 independent optimality oracle for desk-scale instances.
@@ -23,10 +26,6 @@ from .errors import EmptyPopulation, InstanceTooLarge
 from .model import PriceCurve, mci_matrix
 from .profiles import Population
 from .tariff import Tariff
-
-# slack of the band criterion check: absorbs the half-ulp rounding of
-# midpoint prices
-CRITERION_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -68,23 +67,34 @@ def _check_rho(rho: float) -> None:
         raise ValueError(f"rho must be finite and > 0, got {rho}")
 
 
+def _top(lo, rho):
+    """The highest rate that may share a band with rate `lo`."""
+    return lo + 2.0 * rho
+
+
+def _fits(lo, hi, rho):
+    """The band rule: whether rates lo <= hi may share a band. It is
+    monotone: true for every hi below a fitting one, and, since rounding
+    keeps `_top` non-decreasing, for every lo above a fitting one."""
+    return hi <= _top(lo, rho)
+
+
 def gkc(table: MciTable, rho: float) -> Tariff:
     """Greedy covering of the sorted rate axis by width-2*rho bands.
 
     Starting at the lowest unclustered rate r, the next cluster takes every
-    remaining user with rate <= r + 2*rho, then repeats until all users are
-    assigned. Deterministic, O(n log n) including the sort, and minimal in
-    cluster count among all partitions meeting the band criterion.
+    remaining user whose rate fits with r (`_fits`), then repeats until all
+    users are assigned. Deterministic, O(n log n) including the sort, and
+    minimal in cluster count among all partitions meeting the band rule.
     """
     _check_rho(rho)
     mcis = table.mcis
-    width = 2.0 * rho
     # one search per band (Gronlund et al. 2017): each band ends past the
-    # last rate within 2*rho of its first, where the next band starts
+    # last rate that fits with its first, where the next band starts
     stops = []
     stop = 0
     while stop < mcis.size:
-        stop = int(mcis.searchsorted(mcis[stop] + width, side="right"))
+        stop = int(mcis.searchsorted(_top(mcis[stop], rho), side="right"))
         stops.append(stop)
     stops = np.array(stops, dtype=int)
     sizes = np.diff(stops, prepend=0)
@@ -102,7 +112,7 @@ def gkc(table: MciTable, rho: float) -> Tariff:
 
 
 def _bisect_ranges(mcis: np.ndarray, idx: np.ndarray, rho: float):
-    """Split an index set until every piece's rate range spans at most 2*rho.
+    """Split an index set until every piece's rate range fits one band.
 
     Returns the pieces, lower halves first, and the most splits any of them
     went through. A split leaves both halves smaller, so the splitting ends.
@@ -112,7 +122,7 @@ def _bisect_ranges(mcis: np.ndarray, idx: np.ndarray, rho: float):
         part, depth = todo.pop()
         values = mcis[part]
         m, big_m = values.min(), values.max()
-        if big_m - m <= 2.0 * rho:
+        if _fits(m, big_m, rho):
             pieces.append(part)
             deepest = max(deepest, depth)
             continue
@@ -132,8 +142,8 @@ def skc(
     """Bisecting refinement of a profile clustering to meet the band criterion.
 
     Each profile-based cluster is split on the rate axis (nearer of the
-    subset's min / max rate), and each half again, until every piece spans
-    at most 2*rho; piece prices are range midpoints.
+    subset's min / max rate), and each half again, until every piece's
+    range fits one band (`_fits`); piece prices are range midpoints.
     """
     _check_rho(rho)
     mcis_all = mci_matrix(prices, pop.consumption)
@@ -163,31 +173,57 @@ def skc(
 
 
 def minimal_clusters_oracle(table: MciTable, rho: float, cap: int = 2000) -> int:
-    """Exact minimum number of rate bands meeting the band criterion.
+    """Exact minimum number of rate bands meeting the band rule.
 
     Dynamic program over contiguous partitions of the sorted rate list:
     f[j] = fewest clusters covering the first j users, where a cluster may
-    cover users i..j-1 only if mcis[j-1] - mcis[i] <= 2*rho. Optimal
-    partitions are contiguous (any band meeting the criterion spans at most
-    2*rho on the rate axis), so this search space is exhaustive.
+    cover users i..j-1 only if `_fits(mcis[i], mcis[j-1], rho)`. The rule
+    is monotone in mcis[i], so the first such i is found by bisection, and
+    a one-rate band always fits. Optimal partitions are contiguous (a band
+    that fits holds every rate between its ends), so this search space is
+    exhaustive.
     """
     _check_rho(rho)
     n = table.n_users
     if n > cap:
         raise InstanceTooLarge(f"n={n} exceeds oracle cap {cap}")
     mcis = table.mcis.tolist()
-    inf = float("inf")
-    f = [0.0] + [inf] * n
+    f = [0] * (n + 1)
     for j in range(1, n + 1):
-        lo = bisect_left(mcis, mcis[j - 1] - 2.0 * rho, 0, j)
-        best = min(f[lo:j])
-        f[j] = best + 1.0 if best < inf else inf
-    return int(f[n])
+        last = mcis[j - 1]
+        lo = bisect_left(mcis, True, 0, j, key=lambda r: _fits(r, last, rho))
+        f[j] = min(f[lo:j]) + 1
+    return f[n]
+
+
+def minimal_certified(tariff: Tariff) -> bool:
+    """Whether no partition meeting the band rule has fewer bands than `tariff`.
+
+    The proof is a packing: sort the bands' lowest member rates s_1 < ... <
+    s_k and require that no adjacent pair fits (`_fits`). Then for i < j,
+    s_j >= s_{i+1} > `_top(s_i)`, so by monotonicity no band can hold two
+    of the starts, and any partition needs k bands. It compares k - 1
+    pairs at any n, where the oracle stops at its cap.
+    """
+    starts = np.sort(tariff.rate_ranges()[:, 0])
+    return not np.any(_fits(starts[:-1], starts[1:], tariff.rho))
 
 
 def criterion_check(tariff: Tariff):
-    """Verify |rate_i - price of i's cluster| <= rho + CRITERION_ATOL for every
-    user, at the tariff's own rho. Returns (ok, worst_gap).
+    """Verify |rate_i - price of i's cluster| <= rho + slack for every user,
+    at the tariff's own rho. Returns (ok, worst_gap).
+
+    The slack is 4*eps*(M + 2*rho), M = max |rate|, eps the float64
+    machine epsilon and u = eps/2 its unit roundoff. It covers every band
+    that meets the band rule and is priced at its midpoint, away from
+    underflow: a band lo..hi with hi <= fl(lo + 2*rho) spans at most
+    2*rho + u*(M + 2*rho); its price fl((lo + hi)/2) lies within u*M of the
+    exact midpoint; so a member r lies within rho + u*(1.5*M + rho) of its
+    price, and the computed |r - price| is at most rho + eps*(M + 2*rho) +
+    O(u^2). The computed right-hand side rho + slack loses at most
+    u*(rho + slack), which the factor 4 absorbs.
     """
-    worst = float(np.abs(tariff.rates - tariff.prices[tariff.labels]).max())
-    return bool(worst <= tariff.rho + CRITERION_ATOL), worst
+    rates = tariff.rates
+    worst = float(np.abs(rates - tariff.prices[tariff.labels]).max())
+    slack = 4.0 * np.finfo(float).eps * _top(float(np.abs(rates).max()), tariff.rho)
+    return bool(worst <= tariff.rho + slack), worst

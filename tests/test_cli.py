@@ -155,7 +155,7 @@ def test_cluster_methods_and_artifacts(tmp_path, small_config):
         rates = (tmp_path / f"rates_{method}.csv").read_text().strip().splitlines()
         assert len(rates) == 302  # hash line + header + one row per user
     gkc_meta = json.loads((tmp_path / "meta_cluster_gkc.json").read_text())
-    assert gkc_meta["criterion_ok"] is True
+    assert gkc_meta["criterion_ok"] is True and gkc_meta["minimal_certified"] is True
     skc_meta = json.loads((tmp_path / "meta_cluster_skc.json").read_text())
     assert skc_meta["criterion_ok"] is True
     assert skc_meta["n_clusters"] >= gkc_meta["n_clusters"]
@@ -839,7 +839,8 @@ _SIDECAR_KEYS = {
     "meta_cluster_profile.json": _META_KEYS | _LOAD_KEYS | _KMEANS_KEYS | {
         "method", "n_clusters", "wall_time_s"},
     "meta_cluster_gkc.json": _META_KEYS | _LOAD_KEYS | {
-        "method", "n_clusters", "wall_time_s", "criterion_ok", "criterion_worst_gap"},
+        "method", "n_clusters", "wall_time_s", "criterion_ok", "criterion_worst_gap",
+        "minimal_certified"},
     "meta_cluster_skc.json": _META_KEYS | _LOAD_KEYS | _KMEANS_KEYS | {
         "method", "n_clusters", "wall_time_s", "base_wall_time_s", "skc_max_depth",
         "criterion_ok", "criterion_worst_gap"},

@@ -14,13 +14,15 @@ from gridrates import (
     gkc,
     kmeans_profiles,
     mci_table,
+    minimal_certified,
     minimal_clusters_oracle,
     price_curve,
     residential_spec,
     skc,
 )
-from gridrates.model import mci_matrix
+from gridrates.model import PriceCurve, mci_matrix
 from gridrates.profiles import Population
+from gridrates.robust import _bisect_ranges
 
 
 def _table(values, ids=None):
@@ -44,7 +46,7 @@ def _enumerate_min_clusters(values, rho):
         ok = True
         for i in range(n):
             if i == n - 1 or cuts[i] == 1:
-                if values[i] - values[start] > 2 * rho:
+                if values[i] > values[start] + 2 * rho:
                     ok = False
                     break
                 count += 1
@@ -301,8 +303,6 @@ def test_skc_splits_as_deep_as_the_rates_need():
     ([0.0, 2.0, 5.0], 1),     # and so is such a half: {0, 2} is not split again
 ])
 def test_skc_bisection_reports_its_depth(mcis, depth):
-    from gridrates.robust import _bisect_ranges
-
     pieces, deepest = _bisect_ranges(np.array(mcis), np.arange(len(mcis)), rho=1.0)
     assert deepest == depth
     assert sorted(np.concatenate(pieces).tolist()) == list(range(len(mcis)))
@@ -313,7 +313,10 @@ def test_skc_count_at_least_gkc_count():
     base = kmeans_profiles(pop, k=8, prices=prices, seed=1)
     refined = skc(pop, prices, rho=0.25, base_clustering=base)
     greedy = gkc(mci_table(pop, prices), rho=0.25)
-    assert refined.k >= greedy.k
+    assert refined.k > greedy.k
+    # the certificate holds for gkc, and cannot for a tariff with more bands
+    assert minimal_certified(greedy)
+    assert not minimal_certified(refined)
 
 
 # ---------------------------------------------------------------------------
@@ -352,3 +355,94 @@ def test_criterion_check_against_explicit_table():
     ok, worst = criterion_check(out)
     assert ok
     assert worst <= 0.3 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the band rule on floats: rates lo <= hi share a band iff hi <= lo + 2*rho,
+# the sum rounded as floats round it
+# ---------------------------------------------------------------------------
+
+def _on_edge(lo, rho, step):
+    """The float `step` (-1, 0 or +1) ulps from the band edge lo + 2*rho."""
+    edge = lo + 2 * rho
+    return float(np.nextafter(edge, step * np.inf)) if step else edge
+
+
+def _edge_chains(n_rates, seed, count=300, scale=1e5, rho_range=(0.05, 8.0)):
+    """Rate lists in which each rate sits on the band edge of the one before,
+    or one ulp either side."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        rho = float(rng.uniform(*rho_range))
+        values = [float(scale * 10.0 ** rng.uniform(-5.0, 0.0))]
+        for step in rng.integers(-1, 2, size=n_rates - 1):
+            values.append(_on_edge(values[-1], rho, int(step)))
+        yield values, rho
+
+
+def _rate_population(values):
+    """Users whose rates are exactly `values`: user i consumes only in slot i,
+    priced values[i]."""
+    n = len(values)
+    return Population([f"u{i:02d}" for i in range(n)], np.eye(n)), PriceCurve(np.array(values))
+
+
+@pytest.mark.parametrize("n_rates", [2, 3])
+def test_gkc_and_oracle_follow_the_band_rule_at_band_edges(n_rates):
+    for values, rho in _edge_chains(n_rates, seed=30 + n_rates):
+        want = _enumerate_min_clusters(values, rho)
+        table = _table(values)
+        assert gkc(table, rho).k == want, (values, rho)
+        assert minimal_clusters_oracle(table, rho) == want, (values, rho)
+
+
+@pytest.mark.parametrize("middle", [False, True])
+def test_bisection_keeps_a_piece_exactly_when_it_fits_at_band_edges(middle):
+    for (lo, hi), rho in _edge_chains(2, seed=42 + middle):
+        mcis = np.array([lo, (lo + hi) / 2, hi] if middle else [lo, hi])
+        pieces, _ = _bisect_ranges(mcis, np.arange(mcis.size), rho)
+        for piece in pieces:
+            assert mcis[piece].max() <= mcis[piece].min() + 2 * rho, (mcis, rho)
+        assert (len(pieces) == 1) == (hi <= lo + 2 * rho), (mcis, rho)
+
+
+def test_a_pair_one_ulp_past_the_band_edge_takes_two_bands():
+    lo, hi, rho = 20.90240545304659, 29.312266319069114, 4.204930433011261
+    assert hi == _on_edge(lo, rho, 1)
+    table = _table([lo, hi])
+    assert gkc(table, rho).k == 2
+    assert minimal_clusters_oracle(table, rho) == 2
+    assert _enumerate_min_clusters([lo, hi], rho) == 2
+    pieces, _ = _bisect_ranges(table.mcis, np.arange(2), rho)
+    assert len(pieces) == 2
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e5, 1e8])
+def test_criterion_check_passes_band_edge_tariffs_at_any_rate_scale(scale):
+    # 50-rate chains, their rho a share of the scale: the top rates are ~scale
+    for values, rho in _edge_chains(50, seed=int(np.log10(scale)), count=40,
+                                    scale=scale, rho_range=(0.005 * scale, 0.01 * scale)):
+        greedy = gkc(_table(values), rho)
+        assert minimal_certified(greedy)
+        pop, prices = _rate_population(values)
+        base = kmeans_profiles(pop, k=1, prices=prices, seed=0)
+        refined = skc(pop, prices, rho, base)
+        for tariff in (greedy, refined):
+            ok, worst = criterion_check(tariff)
+            assert ok, (tariff.method, worst - rho, values, rho)
+
+
+@pytest.mark.parametrize("scale, excess", [
+    (1.0, 1e-13),   # past rho by less than a fixed 1e-12 would forgive
+    (1e5, 1e-9),
+])
+def test_criterion_check_fails_a_member_past_rho_by_more_than_its_slack(scale, excess):
+    rho = 0.5
+    rates = np.array([scale, scale + 2 * (rho + excess)])
+    tariff = Tariff(user_ids=["a", "b"], labels=np.array([0, 0]),
+                    prices=np.array([(rates[0] + rates[1]) / 2]), method="gkc",
+                    rates=rates, rho=rho)
+    ok, worst = criterion_check(tariff)
+    assert not ok
+    assert worst == pytest.approx(rho + excess, abs=1e-10)
+
