@@ -15,8 +15,8 @@ An iteration does not build the (users x k) distance matrix:
   lower bound on the distance to every other center, moved each iteration
   by how far the centers moved. Only users whose bounds overlap get a
   distance row; after an empty-cluster repair every user gets one.
-- The member sums, one ``np.bincount`` per slot over a contiguous copy of
-  the slot's column, give the new centers.
+- The member sums (`tariff._member_sums`), one ``np.bincount`` per slot
+  over a contiguous copy of the slot's column, give the new centers.
 
 The labels are those of the plain loop that takes the argmin of
 ``_distances`` every iteration, bit for bit. The bound test and the
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import EmptyClusterRepairFailed, KTooLarge
 from .model import PriceCurve
 from .profiles import Population
-from .tariff import ASSIGNMENT_METRICS, Tariff, center_prices
+from .tariff import ASSIGNMENT_METRICS, Tariff, _member_sums
 
 
 # `Clustering` is the old name of `Tariff`, kept while bench/ still imports it
@@ -62,20 +62,6 @@ def _distances(points: np.ndarray, centers: np.ndarray, metric: str) -> np.ndarr
             dist[start:start + step] = np.abs(block, out=block).sum(axis=2)
         return dist
     raise ValueError(f"unknown metric {metric!r}")
-
-
-def _member_sums(columns: np.ndarray, labels: np.ndarray, k: int):
-    """(k, T) member sums and (k,) member counts of the clusters.
-
-    `columns` is the (T, n) transpose of the points, C-contiguous, so each
-    slot's bincount reads its weights in place. Each sum adds its members
-    in row order, so sums / counts has the bits of the mask means
-    points[labels == j].mean(axis=0).
-    """
-    sums = np.empty((k, columns.shape[0]))
-    for slot, column in enumerate(columns):
-        sums[:, slot] = np.bincount(labels, weights=column, minlength=k)
-    return sums, np.bincount(labels, minlength=k)
 
 
 class _Bounds:
@@ -258,18 +244,10 @@ def kmeans_profiles(
             break
     inertia = float(((points - centers[labels]) ** 2).sum())
 
-    return Tariff(
-        user_ids=ids,
-        labels=labels,
-        prices=None if prices is None else center_prices(prices, centers),
-        method="profile",
-        centers=centers,
-        metric=metric,
-        n_iter=n_iter,
-        inertia=inertia,
-        label_fixpoint=stable,
-        empty_cluster_repairs=repairs,
-    )
+    # the loop's centers are the member means of its labels, as the tariff's are
+    return Tariff.of_profiles(ids, points, labels, prices, metric=metric, n_iter=n_iter,
+                              inertia=inertia, label_fixpoint=stable,
+                              empty_cluster_repairs=repairs)
 
 
 def sigma(tariff: Tariff, pop: Population) -> np.ndarray:

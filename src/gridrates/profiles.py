@@ -72,9 +72,17 @@ class Population:
         return self.consumption.shape[1]
 
     def rows_of(self, user_ids) -> np.ndarray:
-        """Row index of each of the given user ids, in their order."""
+        """Row index of each of the given user ids, in their order. An id
+        array is read as a list once; an id the corpus lacks is refused."""
+        if isinstance(user_ids, np.ndarray):
+            user_ids = user_ids.tolist()
         row_of = {uid: i for i, uid in enumerate(self.user_ids)}
-        return np.array([row_of[uid] for uid in user_ids], dtype=int)
+        try:
+            return np.array([row_of[uid] for uid in user_ids], dtype=int)
+        except KeyError:
+            missing = [uid for uid in user_ids if uid not in row_of]
+            raise ValueError(f"{len(missing)} clustering user ids are not in the corpus (first: "
+                             f"{missing[0]!r}); was it clustered from another corpus?") from None
 
     def normalized(self) -> np.ndarray:
         """(N, T) matrix of simplex weights."""

@@ -98,17 +98,8 @@ def gkc(table: MciTable, rho: float) -> Tariff:
         stops.append(stop)
     stops = np.array(stops, dtype=int)
     sizes = np.diff(stops, prepend=0)
-    starts = stops - sizes
     labels = np.repeat(np.arange(stops.size), sizes)
-    prices = (mcis[starts] + mcis[stops - 1]) / 2.0
-    return Tariff(
-        user_ids=table.user_ids.copy(),
-        labels=labels,
-        prices=prices,
-        method="gkc",
-        rates=mcis.copy(),
-        rho=float(rho),
-    )
+    return Tariff.of_rates(table.user_ids.copy(), mcis.copy(), labels, "gkc", rho)
 
 
 def _bisect_ranges(mcis: np.ndarray, idx: np.ndarray, rho: float):
@@ -156,20 +147,9 @@ def skc(
         depth = max(depth, sub_depth)
 
     labels = np.empty(pop.n_users, dtype=int)
-    out_prices = np.empty(len(pieces))
     for j, rows in enumerate(pieces):
         labels[rows] = j
-        vals = mcis_all[rows]
-        out_prices[j] = (vals.min() + vals.max()) / 2.0
-    return Tariff(
-        user_ids=pop.user_ids,
-        labels=labels,
-        prices=out_prices,
-        method="skc",
-        rates=mcis_all,
-        rho=float(rho),
-        split_depth=depth,
-    )
+    return Tariff.of_rates(pop.user_ids, mcis_all, labels, "skc", rho, split_depth=depth)
 
 
 def minimal_clusters_oracle(table: MciTable, rho: float, cap: int = 2000) -> int:
@@ -217,10 +197,10 @@ def criterion_check(tariff: Tariff):
     machine epsilon and u = eps/2 its unit roundoff. It covers every band
     that meets the band rule and is priced at its midpoint, away from
     underflow: a band lo..hi with hi <= fl(lo + 2*rho) spans at most
-    2*rho + u*(M + 2*rho); its price fl((lo + hi)/2) lies within u*M of the
-    exact midpoint; so a member r lies within rho + u*(1.5*M + rho) of its
-    price, and the computed |r - price| is at most rho + eps*(M + 2*rho) +
-    O(u^2). The computed right-hand side rho + slack loses at most
+    2*rho + u*(M + 2*rho); its price, the rounded midpoint, lies within u*M
+    of the exact midpoint; so a member r lies within rho + u*(1.5*M + rho)
+    of its price, and the computed |r - price| is at most rho + eps*(M +
+    2*rho) + O(u^2). The computed right-hand side rho + slack loses at most
     u*(rho + slack), which the factor 4 absorbs.
     """
     rates = tariff.rates

@@ -5,8 +5,9 @@ shapes) also keeps its center profiles and the k-means run's convergence
 facts; a rate-band tariff (`gkc`, `skc`) keeps each user's rate and the
 band tolerance rho. This module owns both JSON layouts, in one table that
 `to_json` and `from_json` read: `"kind": "profile"` clusters carry a center,
-`"kind": "rate"` clusters a rate range. `check_rebuilt` compares each stored
-array with the one the corpus and config rebuild.
+`"kind": "rate"` clusters a rate range. The clusterings build a tariff, and
+`from_json` rebuilds a file's, through one constructor per kind:
+`Tariff.of_profiles` and `Tariff.of_rates`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PriceCurve, mci
+from .model import PriceCurve, mci, mci_matrix
+from .profiles import Population
 
 # the distances a profile tariff's users may be assigned by
 ASSIGNMENT_METRICS = ("sqeuclidean", "l1")
@@ -26,6 +28,20 @@ ASSIGNMENT_METRICS = ("sqeuclidean", "l1")
 def center_prices(curve: PriceCurve, centers: np.ndarray) -> np.ndarray:
     """A profile tariff's prices: the marginal cost impact of each center."""
     return np.array([mci(curve, c) for c in centers])
+
+
+def _member_sums(columns: np.ndarray, labels: np.ndarray, k: int):
+    """(k, T) member sums and (k,) member counts of the clusters.
+
+    `columns` is the (T, n) transpose of the points, C-contiguous, so each
+    slot's bincount reads its weights in place. Each sum adds its members
+    in row order, so sums / counts has the bits of the mask means
+    points[labels == j].mean(axis=0).
+    """
+    sums = np.empty((k, columns.shape[0]))
+    for slot, column in enumerate(columns):
+        sums[:, slot] = np.bincount(labels, weights=column, minlength=k)
+    return sums, np.bincount(labels, minlength=k)
 
 
 # each kind's JSON layout: its top-level keys besides "kind", "k" and
@@ -107,6 +123,31 @@ class Tariff:
         if np.any(np.bincount(self.labels, minlength=self.k) == 0):
             raise ValueError("every cluster must be nonempty")
 
+    @classmethod
+    def of_profiles(cls, user_ids, points: np.ndarray, labels: np.ndarray,
+                    curve: PriceCurve | None = None, **facts) -> "Tariff":
+        """A profile tariff: each center is its members' mean profile, summed
+        in row order (`_member_sums`), and priced at its MCI under `curve`;
+        no prices without one. `points` are the users' normalized profiles in
+        `user_ids` order, and every cluster index below the largest label
+        must have a member. `facts` are further fields, such as the metric."""
+        k = int(labels.max()) + 1
+        sums, counts = _member_sums(np.ascontiguousarray(points.T), labels, k)
+        centers = sums / counts[:, None]
+        return cls(user_ids, labels, None if curve is None else center_prices(curve, centers),
+                   "profile", centers=centers, **facts)
+
+    @classmethod
+    def of_rates(cls, user_ids, rates: np.ndarray, labels: np.ndarray, method: str,
+                 rho: float, **facts) -> "Tariff":
+        """A rate-band tariff: each band is priced at the midpoint of its
+        members' rate range (`rate_ranges`)."""
+        tariff = cls(user_ids, labels, np.empty(int(labels.max()) + 1), method,
+                     rates=rates, rho=float(rho), **facts)
+        lo, hi = tariff.rate_ranges().T
+        tariff.prices = (lo + hi) / 2.0
+        return tariff
+
     @property
     def k(self) -> int:
         return len(self.prices if self.centers is None else self.centers)
@@ -122,35 +163,15 @@ class Tariff:
         return self.user_ids[self.members(j)].tolist()
 
     def rate_ranges(self) -> np.ndarray:
-        """(k, 2) lowest and highest member rate of each band."""
+        """(k, 2) lowest and highest member rate of each band: on ties (such as
+        -0.0 and 0.0) the rates a stable ascending sort of the members puts
+        first and last. A ufunc's `at` keeps the last of equal values, so the
+        minimum runs over the members in reverse."""
         ranges = np.empty((self.k, 2))
         ranges[:, 0], ranges[:, 1] = np.inf, -np.inf
-        np.minimum.at(ranges[:, 0], self.labels, self.rates)
+        np.minimum.at(ranges[:, 0], self.labels[::-1], self.rates[::-1])
         np.maximum.at(ranges[:, 1], self.labels, self.rates)
         return ranges
-
-    def check_config(self, curve: PriceCurve, rho: float) -> None:
-        """Raise ValueError unless the tariff was made with this price curve and rho.
-
-        Every cluster must have a finite price, bit for bit the one its
-        kind rebuilds: the MCI of a profile tariff's center under `curve`,
-        the midpoint of a rate band's range (checked against the rates by
-        `from_json`). A rate tariff must carry `rho`.
-        """
-        if self.prices is None or not np.isfinite(self.prices).all():
-            raise ValueError("the tariff needs a finite price for every cluster")
-        if self.centers is not None:
-            check_rebuilt(self.prices, center_prices(curve, self.centers),
-                          "{n} of {k} cluster prices are not the MCI of their centers under "
-                          "this config (first: cluster {j}, price {stored!r}, MCI {rebuilt!r}); "
-                          "was the tariff made from another corpus or cost model?")
-            return
-        if self.rho != rho:
-            raise ValueError(f"tariff has rho={self.rho!r}, the config rho={rho!r}")
-        ranges = self.rate_ranges()
-        check_rebuilt(self.prices, (ranges[:, 0] + ranges[:, 1]) / 2.0,
-                      "{n} of {k} band prices are not the midpoints of their rate ranges "
-                      "(first: band {j}, price {stored!r}, midpoint {rebuilt!r})")
 
     def to_json(self) -> str:
         kind = "rate" if self.centers is None else "profile"
@@ -163,16 +184,19 @@ class Tariff:
                            **{key: getattr(self, key) for key in keys}}, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str, rates: dict | None = None) -> "Tariff":
+    def from_json(cls, text: str, pop: Population | None = None,
+                  curve: PriceCurve | None = None, rho: float | None = None) -> "Tariff":
         """Rebuild a tariff of either kind from its JSON.
 
-        `rates` maps user id to rate in the corpus the tariff is applied
-        to. A rate tariff needs it; each band's stored `rate_range` must then
-        be the exact range of its members' rates. When given, every member
-        id must have a rate. Each member id must be listed once. A document
-        that is not an object, lacks a key its kind reads or holds one as
-        another JSON type (see `_require`), is refused, as is a `k` other
-        than the number of clusters, or an unknown `metric` or `method`.
+        Without a corpus a profile tariff loads as stored; a rate tariff is
+        refused. Given the corpus `pop`, price curve and rho it is applied
+        to, the file's partition is rebuilt (`of_profiles`, `of_rates`) and
+        each stored number must equal its rebuild (`check_rebuilt`), a
+        profile price the MCI of its stored center, and `rho` the given one.
+        Each member id must be in `pop` and listed once. A document that is
+        not an object, lacks a key its kind reads or holds one as another
+        JSON type (see `_require`), is refused, as is a `k` other than the
+        number of clusters, or an unknown `metric` or `method`.
         """
         doc = json.loads(text)
         _require(doc, {}, "the tariff")
@@ -204,24 +228,42 @@ class Tariff:
             raise ValueError(f"user id {uid!r} is listed {n} times, by clusters {listed}")
         prices = [cluster["price"] for cluster in clusters]
         values = np.array([cluster[shape] for cluster in clusters], dtype=float)
-        if rates is not None:
-            member_rates = [rates.get(uid) for uid in user_ids]
-            if None in member_rates:
-                missing = [uid for uid, rate in zip(user_ids, member_rates) if rate is None]
-                raise ValueError(
-                    f"{len(missing)} clustering user ids are not in the corpus "
-                    f"(first: {missing[0]!r}); was it clustered from another corpus?")
+        rows = None if pop is None else pop.rows_of(user_ids)
+        # the tariff as stored; building it checks the labels
         if profile:
-            return cls(user_ids=user_ids, labels=labels,
-                       prices=None if None in prices else np.array(prices, dtype=float),
-                       method="profile", centers=values, metric=doc["metric"])
-        if rates is None:
+            stored = cls(user_ids, labels, None if None in prices else np.array(prices, dtype=float),
+                         "profile", centers=values, metric=doc["metric"])
+        else:
+            stored = cls(user_ids, labels, np.array(prices, dtype=float), doc["method"],
+                         rho=float(doc["rho"]))
+        if pop is None:
+            if profile:
+                return stored
             raise ValueError("a rate tariff needs its members' rates to load")
-        tariff = cls(user_ids=user_ids, labels=labels, prices=np.array(prices, dtype=float),
-                     method=doc["method"], rates=np.array(member_rates, dtype=float),
-                     rho=float(doc["rho"]))
-        check_rebuilt(values, tariff.rate_ranges(),
-                      "{n} of {k} bands have a rate_range other than their members' rates "
-                      "(first: band {j}, stored {stored}, rates span {rebuilt}); was the "
-                      "tariff made from another corpus or cost model?")
-        return tariff
+        if profile:
+            rebuilt = cls.of_profiles(user_ids, pop.normalized()[rows], labels, curve,
+                                      metric=stored.metric)
+        else:
+            rebuilt = cls.of_rates(user_ids, mci_matrix(curve, pop.consumption)[rows], labels,
+                                   stored.method, rho)
+            check_rebuilt(values, rebuilt.rate_ranges(),
+                          "{n} of {k} bands have a rate_range other than their members' rates "
+                          "(first: band {j}, stored {stored}, rates span {rebuilt}); was the "
+                          "tariff made from another corpus or cost model?")
+        if stored.prices is None or not np.isfinite(stored.prices).all():
+            raise ValueError("the tariff needs a finite price for every cluster")
+        if profile:
+            check_rebuilt(stored.prices, center_prices(curve, values),
+                          "{n} of {k} cluster prices are not the MCI of their centers under "
+                          "this config (first: cluster {j}, price {stored!r}, MCI {rebuilt!r}); "
+                          "was the tariff made from another corpus or cost model?")
+            check_rebuilt(values, rebuilt.centers,
+                          "{n} of {k} cluster centers are not their members' mean profiles "
+                          "(first: cluster {j})")
+        else:
+            if stored.rho != rho:
+                raise ValueError(f"tariff has rho={stored.rho!r}, the config rho={rho!r}")
+            check_rebuilt(stored.prices, rebuilt.prices,
+                          "{n} of {k} band prices are not the midpoints of their rate ranges "
+                          "(first: band {j}, price {stored!r}, midpoint {rebuilt!r})")
+        return rebuilt
