@@ -239,7 +239,9 @@ def cmd_vulnerability(args) -> int:
             "n_violations": audit.n_violations,
             "worst_pairs": audit.worst_pairs(),
         })
-    meta.update(theta_ref=theta_ref, strict=args.strict, effort_s=audit.effort_s,
+    meta.update(theta_ref=theta_ref, strict=args.strict,
+                admission_metric="rate" if tariff.centers is None else tariff.metric,
+                effort_s=audit.effort_s,
                 n_effort_pairs=len(tariff.labels) * (tariff.k - 1),
                 n_exact_pairs=audit.n_exact_pairs,
                 n_unreachable_pairs=audit.n_unreachable,

@@ -2,9 +2,9 @@
 
 Lloyd iteration with k-means++ seeding over normalized profiles. Users are
 processed in a canonical id order so results do not depend on input row
-order. Assignment distance is squared Euclidean by default; the disguise
-analysis uses l1 geometry, so an l1 assignment metric is available as an
-option.
+order. Assignment distance is squared Euclidean by default, or l1 as an
+option; the disguise audit (`vulnerability`) admits a blend by the
+tariff's own metric.
 
 An iteration does not build the (users x k) distance matrix:
 

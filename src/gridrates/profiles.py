@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain, compress, count, islice
 from pathlib import Path
 
@@ -71,12 +72,18 @@ class Population:
     def horizon(self) -> int:
         return self.consumption.shape[1]
 
+    @cached_property
+    def _row_of(self) -> dict:
+        """Each user id's row, built on first use; `user_ids` is never changed
+        after construction."""
+        return {uid: i for i, uid in enumerate(self.user_ids)}
+
     def rows_of(self, user_ids) -> np.ndarray:
         """Row index of each of the given user ids, in their order. An id
         array is read as a list once; an id the corpus lacks is refused."""
         if isinstance(user_ids, np.ndarray):
             user_ids = user_ids.tolist()
-        row_of = {uid: i for i, uid in enumerate(self.user_ids)}
+        row_of = self._row_of
         try:
             return np.array([row_of[uid] for uid in user_ids], dtype=int)
         except KeyError:

@@ -218,8 +218,10 @@ def test_vulnerability_builds_efforts_once(tmp_path, small_config, monkeypatch,
                                            method, flags):
     assert _run("datagen", "--config", small_config, "--out", tmp_path) == 0
     corpus = tmp_path / "corpus.csv"
+    # the kernel audits l1 tariffs; a default (sqeuclidean) one never calls it
     assert _run("cluster", "--config", small_config, "--out", tmp_path,
-                "--corpus", corpus, "--method", method) == 0
+                "--corpus", corpus, "--method", method,
+                *(("--metric", "l1") if method == "profile" else ())) == 0
     builds, pairs = [], []
     build, kernel = vulnerability.effort_rows, vulnerability.switch_efforts
 
@@ -252,11 +254,38 @@ def test_vulnerability_builds_efforts_once(tmp_path, small_config, monkeypatch,
     meta = json.loads((tmp_path / "meta_vulnerability.json").read_text())
     smooth = json.loads((tmp_path / "smoothness.json").read_text())
     assert meta["strict"] is bool(flags)
+    assert meta["admission_metric"] == ("l1" if method == "profile" else "rate")
     assert meta["effort_s"] > 0
     assert meta["n_effort_pairs"] == 300 * (k - 1)
     assert meta["n_exact_pairs"] == len(pairs)
     assert meta["n_unreachable_pairs"] < meta["n_effort_pairs"]
     assert meta["n_reachable_pairs"] == smooth["n_reachable_pairs"]
+
+
+def test_strict_cr_never_below_pairwise_cr_on_a_default_tariff(
+        tmp_path, tariff_files, monkeypatch):
+    # a default tariff is audited by squared Euclidean distance in closed
+    # form, with no kernel call; strict admission is harder than pairwise
+    kernel_calls = []
+    monkeypatch.setattr(vulnerability, "switch_efforts", lambda *a: kernel_calls.append(a))
+    crs = {}
+    for flags in ((), ("--strict",)):
+        out = tmp_path / "-".join(("out",) + flags)
+        assert _run("vulnerability", "--config", tariff_files / "config.json", "--out", out,
+                    "--corpus", tariff_files / "corpus.csv",
+                    "--clustering", tariff_files / "clustering_profile.json", *flags) == 0
+        meta = json.loads((out / "meta_vulnerability.json").read_text())
+        k = json.loads((tariff_files / "clustering_profile.json").read_text())["k"]
+        assert meta["admission_metric"] == "sqeuclidean"
+        assert meta["n_exact_pairs"] == 300 * k
+        lines = (out / "disguise_reports.csv").read_text().splitlines()[1:]
+        crs[flags] = {uid: float(cr) if cr else float("inf")
+                      for uid, cr, _, _ in (line.split(",") for line in lines)}
+    assert kernel_calls == []
+    pairwise, strict = crs[()], crs[("--strict",)]
+    assert pairwise.keys() == strict.keys() and len(strict) == 300
+    assert all(strict[uid] >= cr for uid, cr in pairwise.items())
+    assert any(strict[uid] > cr for uid, cr in pairwise.items())
 
 
 @pytest.mark.parametrize("command", ["vulnerability", "diversity"])
@@ -845,7 +874,7 @@ _SIDECAR_KEYS = {
         "method", "n_clusters", "wall_time_s", "base_wall_time_s", "skc_max_depth",
         "criterion_ok", "criterion_worst_gap"},
     "meta_vulnerability.json": _META_KEYS | _LOAD_KEYS | {
-        "theta_ref", "strict", "effort_s", "n_effort_pairs", "n_exact_pairs",
+        "theta_ref", "strict", "admission_metric", "effort_s", "n_effort_pairs", "n_exact_pairs",
         "n_unreachable_pairs", "n_reported_efforts", "n_reachable_pairs"},
     "meta_sensitivity.json": _META_KEYS | _LOAD_KEYS | {
         "nonpositive_prices_a", "rho_points", "a_points"},

@@ -16,7 +16,7 @@ DEMOS = {
     "01_cost_model_and_rates":
         "35a4092fc9633a43130205aae354557044dd523b8203d7539d6fea470b147c1b",
     "02_profile_clustering_loophole":
-        "4fd64268ca4fc35d02ae2f862c68a942fe383ae9a2ecc1d013de373013c92cfa",
+        "2638ca75217f148434c777a8c44f9b4f0d9166a6abe1b09607aa6ad31f081a11",
     "03_rate_band_tariffs":
         "a23bfd54ff2c49f2d4bfff587527a3369ba7e096464be4942107e7bc7aaefa85",
     "04_sensitivity_and_diversity":

@@ -32,9 +32,9 @@ GOLDEN = {
     "base/corpus.csv":
         "c81edd363fda769953bb91c56578702dfe5d8c116b88d48b0f32c2c75fc70f44",
     "base/disguise_reports.csv":
-        "bcee36385fef6f56cc318c47256383ae02357815ed4809df82503a756db49065",
+        "34160358c8ccb3db1e0e9731cc90c549acdc74875c03d0d751a8ee2aad8cfa83",
     "base/disguise_reports.json":
-        "63d703ebd90411ecb219828fdc58ab2a1ae16a10c57cdcd7f842278a2d112bdf",
+        "fe0b03b6f2d879c3fc9f09b89641d6b849ec56e69a5d56b3d23ad098013d1d90",
     "base/price.csv":
         "dc454982b79fa5b7153bf4689dd42cc4aa8a43c9719bf191d031b32ee031caae",
     "base/rates_gkc.csv":
@@ -48,11 +48,11 @@ GOLDEN = {
     "base/sigma.csv":
         "718d13cf88dd2f75fffb16b80838319671fcca1abdfedaa1c4f1f6357251024d",
     "base/smoothness.json":
-        "0f6c1efca81116082b7ea39b05c8e971d75941e52b00327494a1068a94d06359",
+        "04e9f95fb8382be0449c8502e78e3a589ea5f8c34c00dbd9ad65f6267d72aeaf",
     "base/subclusters_0.json":
         "ff409c538ebd49b7bc031dc55e0354b08964472adf516a07f8009b872d6e1ba6",
     "base/vulnerability_sweep.csv":
-        "63da3a2c656f8f3792d690d86790737339d2df41b98d722d4ee28d1051809570",
+        "4ab563dda6884aa356b887ea165e2d685c338d67e31c1653770118738490dc4a",
     "gkc/disguise_reports.csv":
         "cf5a1453ba4b64cad90a43b4e9fd48919754ad89ab81ef515e904e73ad24cabd",
     "gkc/disguise_reports.json":
@@ -62,13 +62,13 @@ GOLDEN = {
     "gkc/vulnerability_sweep.csv":
         "4f78f8423668fc4151bbf67eeef599a9350c901bffec2217e995f81060fa866d",
     "strict/disguise_reports.csv":
-        "cd74f0957edf707f788f15d80b3ad0dc4c617e0ee2ef65fe5c9e9c290edab094",
+        "412175e88c1c66539af3023c1443d16176b46051ab8c204f676b4d55412bdb00",
     "strict/disguise_reports.json":
-        "d2640cd142f311fd793f47d6f340149bde083e5d6e4b4d9d3fcec65871211813",
+        "c3171df9990d5a64fc95f3084272af9bcb9a6b0e7b0d1c299de72dc70e7b8f4f",
     "strict/smoothness.json":
-        "ff3655fea7674eadbcbaac0bb93a2a961d3f08120d5f48c0deb984e2e5d6efe0",
+        "62925d28c713c909e80074800172c0dfaa90607a779d5778788bb0466ff685be",
     "strict/vulnerability_sweep.csv":
-        "76f7a020a94fc61264f92c9634b4fa688322845b7041a6c3968b7d45b2814131",
+        "112d1b1a18eb3dd47d0731b41939cf435cbfa2d8e87f6c5fe4e5b934ebd5afc8",
     "skc/disguise_reports.csv":
         "81718a39407abbde915a54f3d7aa7edd75e28ac00c2c0a6e2dff4803215efe44",
     "skc/disguise_reports.json":
