@@ -33,7 +33,7 @@ print(f"cluster rates: {clustering.prices[order[0]]:.2f} .. {clustering.prices[o
 theta = 0.05  # willing to alter 5% of the reported shape
 thetas = (0.01, 0.02, 0.05, 0.10, 0.20)
 audit = Audit(clustering, pop, thetas=thetas, theta=theta)
-reports = audit.add(np.argsort(clustering.user_ids, kind="stable"))
+reports = audit.add(audit.by_id)   # every user, in id order
 sweep = audit.sweep_rows()
 
 # survey every user's cheapest admissible switch

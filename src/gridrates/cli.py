@@ -112,19 +112,12 @@ def _load_inputs(args, cfg: RunConfig, meta: dict):
 
 
 def _load_clustering(path, cfg: RunConfig, pop: Population, curve: PriceCurve) -> Tariff:
-    """A tariff JSON, rebuilt on the corpus and the config's price curve and
-    rho it is applied to (`Tariff.from_json`); a rate tariff's members must
-    also meet its rho."""
+    """A tariff JSON, rebuilt and checked on the corpus and the config's
+    price curve and rho it is applied to (`Tariff.from_json`)."""
     try:
-        tariff = Tariff.from_json(Path(path).read_text(encoding="utf-8"), pop, curve, cfg.rho)
-        if tariff.centers is None:
-            ok, worst = criterion_check(tariff)
-            if not ok:
-                raise ValueError(f"a member's rate lies {worst!r} from its band's price, "
-                                 f"more than the tariff's rho={tariff.rho!r}")
+        return Tariff.from_json(Path(path).read_text(encoding="utf-8"), pop, curve, cfg.rho)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return tariff
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-max", dest="theta_max", type=float)
     p.add_argument("--theta-step", dest="theta_step", type=float)
     p.add_argument("--strict", action="store_true",
-                   help="admission must beat every center, not only the user's own")
+                   help="admission must beat every center, not only the user's own "
+                        "(profile tariffs only)")
     p.set_defaults(func=cmd_vulnerability)
 
     p = sub.add_parser("sensitivity", help="cluster count over rho and curvature grids")

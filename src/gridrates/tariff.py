@@ -25,11 +25,6 @@ from .profiles import Population
 ASSIGNMENT_METRICS = ("sqeuclidean", "l1")
 
 
-def center_prices(curve: PriceCurve, centers: np.ndarray) -> np.ndarray:
-    """A profile tariff's prices: the marginal cost impact of each center."""
-    return np.array([mci(curve, c) for c in centers])
-
-
 def _member_sums(columns: np.ndarray, labels: np.ndarray, k: int):
     """(k, T) member sums and (k,) member counts of the clusters.
 
@@ -134,8 +129,8 @@ class Tariff:
         k = int(labels.max()) + 1
         sums, counts = _member_sums(np.ascontiguousarray(points.T), labels, k)
         centers = sums / counts[:, None]
-        return cls(user_ids, labels, None if curve is None else center_prices(curve, centers),
-                   "profile", centers=centers, **facts)
+        prices = None if curve is None else np.array([mci(curve, c) for c in centers])
+        return cls(user_ids, labels, prices, "profile", centers=centers, **facts)
 
     @classmethod
     def of_rates(cls, user_ids, rates: np.ndarray, labels: np.ndarray, method: str,
@@ -186,18 +181,21 @@ class Tariff:
     @classmethod
     def from_json(cls, text: str, pop: Population | None = None,
                   curve: PriceCurve | None = None, rho: float | None = None) -> "Tariff":
-        """Rebuild a tariff of either kind from its JSON.
+        """Rebuild a tariff of either kind from its JSON, if it may be trusted.
 
         Without a corpus a profile tariff loads as stored; a rate tariff is
         refused. Given the corpus `pop`, price curve and rho it is applied
         to, the file's partition is rebuilt (`of_profiles`, `of_rates`) and
-        each stored number must equal its rebuild (`check_rebuilt`), a
-        profile price the MCI of its stored center, and `rho` the given one.
-        Each member id must be in `pop` and listed once. A document that is
-        not an object, lacks a key its kind reads or holds one as another
-        JSON type (see `_require`), is refused, as is a `k` other than the
-        number of clusters, or an unknown `metric` or `method`.
+        returned if the file matches it. Both kinds compare, in this order:
+        the centers or rate ranges (`check_rebuilt`); every price finite; a
+        rate tariff's `rho`; the prices; a rate tariff's members against its
+        rho (`robust.criterion_check`). Each member id must be in `pop` and
+        listed once. A document that is not an object, lacks a key its kind
+        reads or holds one as another JSON type (see `_require`), is refused,
+        as is a `k` other than the number of clusters, an empty cluster, or
+        an unknown `metric` or `method`.
         """
+        from .robust import criterion_check   # robust imports this module
         doc = json.loads(text)
         _require(doc, {}, "the tariff")
         kind = doc.get("kind")
@@ -229,41 +227,39 @@ class Tariff:
         prices = [cluster["price"] for cluster in clusters]
         values = np.array([cluster[shape] for cluster in clusters], dtype=float)
         rows = None if pop is None else pop.rows_of(user_ids)
-        # the tariff as stored; building it checks the labels
-        if profile:
-            stored = cls(user_ids, labels, None if None in prices else np.array(prices, dtype=float),
-                         "profile", centers=values, metric=doc["metric"])
-        else:
-            stored = cls(user_ids, labels, np.array(prices, dtype=float), doc["method"],
-                         rho=float(doc["rho"]))
+        if not all(cluster["members"] for cluster in clusters):
+            raise ValueError("every cluster must be nonempty")
         if pop is None:
             if profile:
-                return stored
+                return cls(user_ids, labels, None if None in prices else np.array(prices, float),
+                           "profile", centers=values, metric=doc["metric"])
             raise ValueError("a rate tariff needs its members' rates to load")
         if profile:
             rebuilt = cls.of_profiles(user_ids, pop.normalized()[rows], labels, curve,
-                                      metric=stored.metric)
+                                      metric=doc["metric"])
+            check_rebuilt(values, rebuilt.centers, "{n} of {k} cluster centers are not their "
+                          "members' mean profiles (first: cluster {j})")
         else:
             rebuilt = cls.of_rates(user_ids, mci_matrix(curve, pop.consumption)[rows], labels,
-                                   stored.method, rho)
+                                   doc["method"], rho)
             check_rebuilt(values, rebuilt.rate_ranges(),
                           "{n} of {k} bands have a rate_range other than their members' rates "
                           "(first: band {j}, stored {stored}, rates span {rebuilt}); was the "
                           "tariff made from another corpus or cost model?")
-        if stored.prices is None or not np.isfinite(stored.prices).all():
+        prices = np.array(prices, float)   # a null price reads nan
+        if not np.isfinite(prices).all():
             raise ValueError("the tariff needs a finite price for every cluster")
-        if profile:
-            check_rebuilt(stored.prices, center_prices(curve, values),
-                          "{n} of {k} cluster prices are not the MCI of their centers under "
-                          "this config (first: cluster {j}, price {stored!r}, MCI {rebuilt!r}); "
-                          "was the tariff made from another corpus or cost model?")
-            check_rebuilt(values, rebuilt.centers,
-                          "{n} of {k} cluster centers are not their members' mean profiles "
-                          "(first: cluster {j})")
-        else:
-            if stored.rho != rho:
-                raise ValueError(f"tariff has rho={stored.rho!r}, the config rho={rho!r}")
-            check_rebuilt(stored.prices, rebuilt.prices,
-                          "{n} of {k} band prices are not the midpoints of their rate ranges "
-                          "(first: band {j}, price {stored!r}, midpoint {rebuilt!r})")
+        if not profile and float(doc["rho"]) != rho:
+            raise ValueError(f"tariff has rho={float(doc['rho'])!r}, the config rho={rho!r}")
+        check_rebuilt(prices, rebuilt.prices, (
+            "{n} of {k} cluster prices are not the MCI of their centers under this config "
+            "(first: cluster {j}, price {stored!r}, MCI {rebuilt!r}); was the tariff made "
+            "from another corpus or cost model?") if profile else (
+            "{n} of {k} band prices are not the midpoints of their rate ranges "
+            "(first: band {j}, price {stored!r}, midpoint {rebuilt!r})"))
+        if not profile:
+            ok, worst = criterion_check(rebuilt)
+            if not ok:
+                raise ValueError(f"a member's rate lies {worst!r} from its band's price, "
+                                 f"more than the tariff's rho={rebuilt.rho!r}")
         return rebuilt

@@ -363,7 +363,8 @@ def _list_twice(doc, by):   # cluster `by` also lists cluster 0's first member
                  "the tariff's 'metric' must be 'sqeuclidean' or 'l1', not 'bogus'",
                  id="metric"),
     pytest.param("profile", lambda doc: doc["clusters"][1].update(center=[0.0] * 24),
-                 "profile has zero total consumption; rate undefined", id="zero-center"),
+                 "1 of {k} cluster centers are not their members' mean profiles "
+                 "(first: cluster 1)", id="zero-center"),
 ])
 def test_untrustworthy_tariff_file_is_refused_at_load(
         tmp_path, tariff_files, capsys, command, method, edit, message):
@@ -422,6 +423,21 @@ def test_tampered_tariff_numbers_are_refused_at_load(
                 "--clustering", clustering) == 1
     assert capsys.readouterr().err == (
         f"gridrates: validation error: {clustering}: {message}\n")
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("method", ["gkc", "skc"])
+def test_strict_audit_of_a_rate_band_tariff_is_refused(tmp_path, tariff_files, capsys, method):
+    config, corpus = tariff_files / "config.json", tariff_files / "corpus.csv"
+    assert _run("cluster", "--config", config, "--out", tmp_path, "--corpus", corpus,
+                "--method", method) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert _run("vulnerability", "--strict", "--config", config, "--out", out, "--corpus", corpus,
+                "--clustering", tmp_path / f"clustering_{method}.json") == 1
+    assert capsys.readouterr().err == (
+        "gridrates: validation error: strict admission races the centers of a profile "
+        "tariff; a rate-band tariff has none\n")
     assert list(out.glob("*")) == []
 
 

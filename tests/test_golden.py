@@ -3,9 +3,10 @@
 Acceptance criterion 10 compares two runs inside one process, so it cannot
 see a change that moves every run alike. This test runs criterion 10's
 pinned 500-user config through every command, plus `vulnerability --strict`
-on its profile tariff and `vulnerability` on its gkc and skc tariffs (the
-skc one has 80 bands), and compares
-each result file (not the `meta_*` sidecars, which hold timings) with the
+on its profile tariff, `vulnerability` on its gkc and skc tariffs (the
+skc one has 80 bands), and an `--metric l1` profile tariff with its
+pairwise and strict audits (the l1 effort kernel, its floors and pruning),
+and compares each result file (not the `meta_*` sidecars, which hold timings) with the
 digest recorded here. An intended change to a golden file must update its
 digest and say why in CHANGES.md.
 
@@ -77,6 +78,26 @@ GOLDEN = {
         "a291b015981681913b99050da722e3fdcad634f3d432d75c2fcc8cf91135b2ee",
     "skc/vulnerability_sweep.csv":
         "fb89716356cecb5b59174539d4fa7f0f159e7fd74ae7aabf3cb2b4edaff635ac",
+    "l1/clustering_profile.json":
+        "8921b796e9ecea8daa987bc1ab2a9bf61801081ffd5376f23c0477f6b5a2698a",
+    "l1/disguise_reports.csv":
+        "dda7e42157bad7d4e8c7d7a0a70ea3dad6c40328d1c76d9c2e910f8d302905ca",
+    "l1/disguise_reports.json":
+        "9eae0d9b9ec39ddb058dd9b243a852efbaea70de304fb903b914e37d58960217",
+    "l1/rates_profile.csv":
+        "610379de88b1a0f77e1f4a4a73d12e7ea6362a77230281c6f2010c3321c6da22",
+    "l1/smoothness.json":
+        "e805d2398871aebd1fd18c38662bf9dd5e428fe89e20d3ac7b83e6dbd4eeabf8",
+    "l1/vulnerability_sweep.csv":
+        "f6a52aac7e380479c79b076cbf8381c884c999baee7ee3bb56bd2ad43de54138",
+    "l1-strict/disguise_reports.csv":
+        "a8f80287b6abfdb06aa8d7d7ce0b37589add8d79856dfa971b49d4ba291571f3",
+    "l1-strict/disguise_reports.json":
+        "07d1dc3b1996073cf91010f5176b2a8d40a7405a90d1bffb3588d9743a8eaa5d",
+    "l1-strict/smoothness.json":
+        "66588e095860bca8c16ac59fbfd2066958c025a7f5334dd91aff015d1a2d79f0",
+    "l1-strict/vulnerability_sweep.csv":
+        "f6a52aac7e380479c79b076cbf8381c884c999baee7ee3bb56bd2ad43de54138",
 }
 
 
@@ -102,6 +123,11 @@ def _pipeline(root):
                  "--clustering", base / "clustering_gkc.json"]),
         ("skc", ["vulnerability", "--corpus", corpus,
                  "--clustering", base / "clustering_skc.json"]),
+        ("l1", ["cluster", "--corpus", corpus, "--method", "profile", "--metric", "l1"]),
+        ("l1", ["vulnerability", "--corpus", corpus,
+                "--clustering", root / "l1" / "clustering_profile.json"]),
+        ("l1-strict", ["vulnerability", "--strict", "--corpus", corpus,
+                       "--clustering", root / "l1" / "clustering_profile.json"]),
     )
     for sub, argv in steps:
         out = root / sub
@@ -114,7 +140,7 @@ def test_result_files_match_golden_digests(tmp_path):
     _pipeline(tmp_path)
     digests = {
         f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
-        for sub in ("base", "strict", "gkc", "skc")
+        for sub in ("base", "strict", "gkc", "skc", "l1", "l1-strict")
         for path in sorted((tmp_path / sub).iterdir())
         if not path.name.startswith("meta_")
     }

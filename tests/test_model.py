@@ -1,20 +1,28 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from gridrates import (
     CostModel,
+    EmptyPopulation,
+    Population,
     PriceCurve,
     PriceWarning,
     SystemLoad,
+    Tariff,
     ZeroProfile,
     billing_identity_check,
+    disguised_profile,
+    kmeans_profiles,
     mci,
     mci_matrix,
+    mci_table,
     price_curve,
     total_cost,
 )
+from gridrates.vulnerability import effort_rows
 
 # fitted real-time price coefficients used across the experiment defaults
 A_FIT, B_FIT = 0.00012, -37.38
@@ -156,3 +164,42 @@ def test_adding_a_user_never_lowers_prices():
     before = price_curve(CostModel(0.5, 0.1), SystemLoad(base)).prices
     after = price_curve(CostModel(0.5, 0.1), SystemLoad(base + extra)).prices
     assert np.all(after >= before)
+
+
+_POINTS = np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]])   # three users' normalized profiles
+_POP = Population(["a", "b", "c"], _POINTS)
+_RATE_TARIFF = Tariff(["a", "b"], np.array([0, 1]), np.array([1.0, 2.0]), "gkc",
+                      rates=np.array([1.0, 2.0]), rho=0.5)
+
+
+def _profile_tariff(curve=None):
+    return Tariff.of_profiles(_POP.user_ids, _POINTS, np.array([0, 1, 1]), curve)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: disguised_profile([0.5, 0.5], [0.2, 0.8], 1.5), ValueError,
+                 "mu must be in [0, 1], got 1.5", id="disguise-mu"),
+    pytest.param(lambda: effort_rows(_RATE_TARIFF), ValueError,
+                 "rate-band tariffs have no effort rows; `Audit` reads their reports off the "
+                 "sorted prices", id="efforts-rate-tariff"),
+    pytest.param(lambda: effort_rows(_profile_tariff(PriceCurve([1.0, 2.0]))), ValueError,
+                 "profile tariffs need the population for efforts", id="efforts-no-pop"),
+    pytest.param(lambda: effort_rows(_profile_tariff(), _POP), ValueError,
+                 "tariff has no cluster rates; cluster with a price curve", id="efforts-unpriced"),
+    pytest.param(lambda: Tariff(["a", "b"], np.array([0, 2]), np.zeros(2), "gkc"), ValueError,
+                 "labels out of range", id="tariff-labels"),
+    pytest.param(lambda: kmeans_profiles(_POP, k=2, metric="cosine"), ValueError,
+                 "metric must be one of ('sqeuclidean', 'l1')", id="kmeans-metric"),
+    pytest.param(lambda: SystemLoad(np.ones((2, 3))), ValueError,
+                 "loads must be a non-empty 1-D vector", id="load-shape"),
+    pytest.param(lambda: PriceCurve([]), ValueError,
+                 "prices must be a non-empty 1-D vector", id="curve-shape"),
+    pytest.param(lambda: mci(PriceCurve([1.0, 2.0]), [1.0, 1.0, 1.0]), ValueError,
+                 "profile has 3 slots, price curve has 2", id="mci-slots"),
+    pytest.param(lambda: mci_table(Population([], np.zeros((0, 2))), PriceCurve([1.0, 2.0])),
+                 EmptyPopulation, "cannot rate an empty population", id="mci-table-empty"),
+])
+def test_public_input_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is error

@@ -2,6 +2,7 @@
 rebuild on the corpus, and the load checks."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -125,3 +126,26 @@ def test_a_corpus_without_the_tariffs_users_is_refused(use, method):
                                          r"\(first: '[^']+'\); was it clustered from "
                                          r"another corpus\?$"):
         apply()
+
+
+@pytest.mark.parametrize("method", ["profile", "gkc", "skc"])
+def test_loading_on_a_corpus_builds_one_tariff(method, monkeypatch):
+    pop, prices = _pipeline()
+    text = _tariff(method, pop, prices).to_json()
+    built = []
+    post_init = Tariff.__post_init__
+    monkeypatch.setattr(Tariff, "__post_init__", lambda self: built.append(post_init(self)))
+    Tariff.from_json(text, pop, prices, 0.5)
+    assert len(built) == 1
+
+
+def test_from_json_refuses_bands_wider_than_their_rho():
+    pop, prices = _pipeline()
+    doc = json.loads(gkc(mci_table(pop, prices), rho=1.0).to_json())
+    doc["rho"] = 0.5   # every band still spans up to 2.0
+    worst = max(abs(v - c["price"]) for c in doc["clusters"] for v in c["rate_range"])
+    assert worst > 0.5
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"a member's rate lies {worst!r} from its band's price, "
+            f"more than the tariff's rho=0.5") + "$"):
+        Tariff.from_json(json.dumps(doc), pop, prices, 0.5)
